@@ -13,8 +13,12 @@ alpha, 2*alpha, 3*alpha, pi-3*alpha, pi-2*alpha, pi-alpha, built from
 
     u_a(theta) = (1 + tan(a) * cot(theta)) / 2,   a in {alpha, 2*alpha}.
 
+Each p_k is therefore affine in cot(theta) on each region, so the table is
+held as data: a region index r in 0..6 and a 4x7 pair of coefficient arrays,
+p_k(theta) = A[k, r] + B[k, r] * cot(theta).
+
 This module provides the branch maps, the probability partition, one-row
-transition kernels, branch sampling shared with the skew representation, and
+transition kernels, one sampling step shared by ensembles and the skew map, and
 the reflection symmetry theta -> pi - theta together with its index
 conjugation.  Everything is a pure function; theta arguments may be scalars
 or numpy arrays.  The cell angle alpha must lie in (0, pi/6).
@@ -41,21 +45,34 @@ _CONJUGATE = {1: 3, 2: 4, 3: 1, 4: 2}
 
 @dataclass(frozen=True)
 class MapParams:
-    """Cell angle alpha plus trig constants reused in hot loops."""
+    """Cell angle alpha plus the trig constants and probability table of hot loops."""
 
     alpha: float
     tan_alpha: float = field(init=False, repr=False)
     tan_2alpha: float = field(init=False, repr=False)
     cos_2alpha: float = field(init=False, repr=False)
+    _A: np.ndarray = field(init=False, repr=False, compare=False)
+    _B: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < math.pi / 6.0:
-            raise ValueError(
-                f"alpha must lie strictly inside (0, pi/6), got {self.alpha!r}"
-            )
-        object.__setattr__(self, "tan_alpha", math.tan(self.alpha))
-        object.__setattr__(self, "tan_2alpha", math.tan(2.0 * self.alpha))
-        object.__setattr__(self, "cos_2alpha", math.cos(2.0 * self.alpha))
+        a = self.alpha
+        if not 0.0 < a < math.pi / 6.0:
+            raise ValueError(f"alpha must lie strictly inside (0, pi/6), got {a!r}")
+        ta, t2a, c2a = math.tan(a), math.tan(2.0 * a), math.cos(2.0 * a)
+        # column r: u_a(+-theta) = 1/2 +- h*cot, 2*c2a*u_2a(+-theta) = c2a +- s*cot
+        h, s = 0.5 * ta, c2a * t2a
+        A = np.array([[1.0, 0.5, 0.5,       0.5, c2a,       0.0, 0.0],
+                      [0.0, 0.0, 0.0,       0.0, 0.5 - c2a, 0.5, 0.0],
+                      [0.0, 0.0, c2a,       0.5, 0.5,       0.5, 1.0],
+                      [0.0, 0.5, 0.5 - c2a, 0.0, 0.0,       0.0, 0.0]])
+        B = np.array([[0.0, h,   h,         h,   s,         0.0, 0.0],
+                      [0.0, 0.0, 0.0,       0.0, h - s,     h,   0.0],
+                      [0.0, 0.0, -s,        -h,  -h,        -h,  0.0],
+                      [0.0, -h,  s - h,     0.0, 0.0,       0.0, 0.0]])
+        A.flags.writeable = B.flags.writeable = False
+        for name, value in zip(("tan_alpha", "tan_2alpha", "cos_2alpha", "_A", "_B"),
+                               (ta, t2a, c2a, A, B)):
+            object.__setattr__(self, name, value)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -66,8 +83,8 @@ class MapParams:
 
 def _as_theta(theta, tol: float = 1e-9) -> np.ndarray:
     t = np.asarray(theta, dtype=float)
-    if np.any(t < -tol) or np.any(t > math.pi + tol):
-        raise ValueError("theta outside [0, pi]")
+    if not np.all((t >= -tol) & (t <= math.pi + tol)):
+        raise ValueError("theta must be finite and lie in [0, pi]")
     return t
 
 
@@ -96,9 +113,12 @@ def tau_all(theta, params: MapParams) -> np.ndarray:
     """Images of all four branches, stacked along axis 0 (shape (4,) + theta.shape)."""
     t = _as_theta(theta)
     a = params.alpha
-    return np.stack(
-        [t + 2 * a, -t + 2 * math.pi - 4 * a, t - 2 * a, -t + 4 * a]
-    )
+    T = np.empty((4,) + t.shape)  # row by row: four images are never held twice
+    T[0] = t + 2 * a
+    T[1] = -t + 2 * math.pi - 4 * a
+    T[2] = t - 2 * a
+    T[3] = -t + 4 * a
+    return T
 
 
 def u_alpha(theta, a: float):
@@ -117,73 +137,44 @@ def u_alpha(theta, a: float):
 def prob_all(theta, params: MapParams) -> np.ndarray:
     """All four branch probabilities at theta, stacked along axis 0.
 
-    Half-open regions are taken literally: a breakpoint belongs to the region
-    on its right.  Values in [PROB_FLOOR, 0) are clamped to 0; anything more
-    negative raises, since the table is non-negative by construction.
+    The region index r is the number of breakpoints <= theta, so a breakpoint
+    belongs to the region on its right, and P[k] = A[k, r] + B[k, r] * cot(theta).
+    Values in [PROB_FLOOR, 0) are clamped to 0; anything more negative raises,
+    since the table is non-negative by construction.
     """
-    t = np.atleast_1d(_as_theta(theta)).astype(float)
-    a = params.alpha
-    ta, t2a, c2a = params.tan_alpha, params.tan_2alpha, params.cos_2alpha
-    pi = math.pi
+    t = np.atleast_1d(_as_theta(theta))
+    cuts = params.breakpoints
+    # = searchsorted(cuts, t, side="right"), at a fraction of its cost
+    r = np.zeros(t.shape, np.int8)
+    for c in cuts:
+        r += t >= c
+    r = r.astype(np.intp)
+    # regions 0 and 6 have no cot term, so clipping keeps theta = 0, pi off the pole
+    cot = np.clip(t, cuts[0], cuts[-1])
+    np.tan(cot, out=cot)
+    np.divide(1.0, cot, out=cot)
 
-    P = np.zeros((4,) + t.shape)
+    # r is in range, and a mode other than "raise" lets take fill `out` unbuffered
+    P = np.empty((4,) + t.shape)
+    a_k = np.empty(t.shape)
+    for k in range(4):
+        np.take(params._B[k], r, out=P[k], mode="wrap")
+        P[k] *= cot
+        np.take(params._A[k], r, out=a_k, mode="wrap")
+        P[k] += a_k
 
-    # cot is only read on [alpha, pi-alpha), where sin > 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cot = np.cos(t) / np.sin(t)
-
-    def up(tan_a, m):  # u_a(theta) on mask m
-        return 0.5 * (1.0 + tan_a * cot[m])
-
-    def um(tan_a, m):  # u_a(-theta) on mask m
-        return 0.5 * (1.0 - tan_a * cot[m])
-
-    m = t < a
-    P[0, m] = 1.0
-
-    m = (t >= a) & (t < 2 * a)
-    P[0, m] = up(ta, m)
-    P[3, m] = um(ta, m)
-
-    m = (t >= 2 * a) & (t < 3 * a)
-    P[0, m] = up(ta, m)
-    P[2, m] = 2.0 * c2a * um(t2a, m)
-    P[3, m] = um(ta, m) - 2.0 * c2a * um(t2a, m)
-
-    m = (t >= 3 * a) & (t < pi - 3 * a)
-    P[0, m] = up(ta, m)
-    P[2, m] = um(ta, m)
-
-    m = (t >= pi - 3 * a) & (t < pi - 2 * a)
-    P[0, m] = 2.0 * c2a * up(t2a, m)
-    P[1, m] = up(ta, m) - 2.0 * c2a * up(t2a, m)
-    P[2, m] = um(ta, m)
-
-    m = (t >= pi - 2 * a) & (t < pi - a)
-    P[1, m] = up(ta, m)
-    P[2, m] = um(ta, m)
-
-    m = t >= pi - a
-    P[2, m] = 1.0
-
-    if np.any(P < PROB_FLOOR):
-        raise AssertionError(
-            "branch probability fell below the float-noise floor; "
-            "the piecewise table is implemented wrong"
-        )
-    np.clip(P, 0.0, None, out=P)
-
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return P[:, 0]
-    return P
+    if P.size and P.min() < PROB_FLOOR:
+        raise AssertionError("branch probability fell below the float-noise floor; "
+                             "the coefficient table is wrong")
+    np.maximum(P, 0.0, out=P)
+    return P[:, 0] if np.ndim(theta) == 0 else P
 
 
 def prob(k: int, theta, params: MapParams):
     """Probability of branch k at theta, in [0, 1]."""
     if k not in _CONJUGATE:
         raise ValueError(f"branch index must be 1..4, got {k!r}")
-    P = prob_all(theta, params)
-    return _match(np.asarray(P[k - 1]), theta)
+    return _match(np.asarray(prob_all(theta, params)[k - 1]), theta)
 
 
 @dataclass(frozen=True)
@@ -225,24 +216,42 @@ def kernel_row(theta, params: MapParams) -> KernelRow:
     return KernelRow(theta=t, entries=tuple(entries))
 
 
-def select_branch(P: np.ndarray, u: np.ndarray) -> np.ndarray:
+def select_branch(P: np.ndarray, u: np.ndarray, return_cum: bool = False):
     """Branch indices from a precomputed probability stack P (4, N) and uniforms u.
 
-    Picks k with cum_(k-1) <= u < cum_k.  The comparison rule can only land on
-    a zero-probability branch in the trailing float-noise sliver u >= cum_4;
-    those draws are stepped back to the last positive branch.
+    Picks k with cum_(k-1) <= u < cum_k, summed left to right as np.cumsum
+    does.  Only the last comparison can land on a zero-probability branch, in
+    the float-noise sliver u >= cum_4; those draws are stepped back to the last
+    positive branch.  return_cum also returns the rows (cum_1, cum_2, cum_3).
     """
-    if np.any(u < 0.0) or np.any(u >= 1.0):
-        raise ValueError("u must lie in [0, 1)")
-    cum = np.cumsum(P, axis=0)
-    k = 1 + np.sum(u[None, :] >= cum[:3], axis=0)
-    picked = P[k - 1, np.arange(u.size)]
-    for i in np.nonzero(picked == 0.0)[0]:
-        kk = int(k[i])
-        while kk > 1 and P[kk - 1, i] == 0.0:
-            kk -= 1
-        k[i] = kk
-    return k.astype(np.int64)
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise ValueError("u must be finite and lie in [0, 1)")
+    c1 = P[0]
+    c2 = c1 + P[1]
+    c3 = c2 + P[2]
+    past = u >= c3
+    k = 1 + (u >= c1) + (u >= c2) + past
+    back = np.flatnonzero(past & (P[3] == 0.0))
+    if back.size:
+        live = P[:, back] != 0.0
+        k[back] = np.where(live.any(axis=0), 4 - np.argmax(live[::-1], axis=0), 1)
+    return (k, (c1, c2, c3)) if return_cum else k
+
+
+def _step(theta: np.ndarray, u: np.ndarray, params: MapParams):
+    """One step on arrays: (k, tau_k(theta) clipped into [0, pi], P, (cum_1, cum_2, cum_3))."""
+    P = prob_all(theta, params)
+    k, cum = select_branch(P, u, return_cum=True)
+    img = _pick(tau_all(theta, params), k)
+    np.clip(img, 0.0, math.pi, out=img)
+    return k, img, P, cum
+
+
+def _pick(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """rows[k[i] - 1, i] for a C-contiguous (m, N) stack and 1-based k, as one flat take."""
+    idx = k * k.size
+    idx += np.arange(-k.size, 0)
+    return rows.reshape(-1).take(idx)
 
 
 def branch_choices(thetas: np.ndarray, us: np.ndarray, params: MapParams) -> np.ndarray:
@@ -288,21 +297,11 @@ def rotation_beta(params: MapParams) -> tuple[int, float]:
 
 
 _REGION_NAMES = (
-    "[0, a)",
-    "[a, 2a)",
-    "[2a, 3a)",
-    "[3a, pi-3a)",
-    "[pi-3a, pi-2a)",
-    "[pi-2a, pi-a)",
-    "[pi-a, pi]",
+    "[0, a)", "[a, 2a)", "[2a, 3a)", "[3a, pi-3a)", "[pi-3a, pi-2a)", "[pi-2a, pi-a)", "[pi-a, pi]"
 )
 
 
 def m2_region(theta, params: MapParams) -> str:
     """Name of the probability-table region containing theta (a = alpha)."""
     t = float(_as_theta(theta))
-    cuts = params.breakpoints
-    for name, hi in zip(_REGION_NAMES, cuts):
-        if t < hi:
-            return name
-    return _REGION_NAMES[-1]
+    return _REGION_NAMES[sum(t >= c for c in params.breakpoints)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core_map import MapParams, branch_choices, prob_all, tau_all
+from .core_map import MapParams, _step, prob_all, tau_all
 
 MERGE_TOL = 1e-12  # atoms closer than this collapse into one
 MASS_TOL = 1e-9  # total-mass drift beyond this is a hard failure
@@ -214,10 +214,7 @@ def ensemble_step(e: ParticleEnsemble, params: MapParams) -> ParticleEnsemble:
     of the particle range.
     """
     u = rng.uniforms(e.rng_seed, e.step_count, e.thetas.size)
-    k = branch_choices(e.thetas, u, params)
-    T = tau_all(e.thetas, params)
-    new_t = T[k - 1, np.arange(e.thetas.size)]
-    new_t = np.clip(new_t, 0.0, math.pi)  # images of live branches stay in range
+    _, new_t, _, _ = _step(e.thetas, u, params)
     return ParticleEnsemble(
         thetas=new_t, rng_seed=e.rng_seed, step_count=e.step_count + 1
     )

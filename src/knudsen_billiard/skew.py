@@ -24,11 +24,11 @@ from . import rng
 from .core_map import (
     BRANCHES,
     MapParams,
+    _pick,
+    _step,
     branch_choices,
     prob_all,
-    select_branch,
     tau,
-    tau_all,
 )
 from .measures import AtomicMeasure, evolve, in_interval
 
@@ -109,14 +109,10 @@ def skew_step_many(
     """Vectorised application of S to arrays of (y, x) points."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    P = prob_all(x, params)
-    k = select_branch(P, y)
-    cum = np.cumsum(P, axis=0)
-    cols = np.arange(x.size)
-    p_k = P[k - 1, cols]
-    below = np.where(k > 1, cum[np.maximum(k - 2, 0), cols], 0.0)
-    y2 = _clamp_y((y - below) / p_k)
-    x2 = np.clip(tau_all(x, params)[k - 1, cols], 0.0, math.pi)
+    k, x2, P, cum = _step(x, y, params)
+    # phi_k(y, x) = (y - cum_(k-1)(x)) / p_k(x), with cum_0 = 0
+    below = _pick(np.stack((np.zeros_like(y),) + cum), k)
+    y2 = _clamp_y((y - below) / _pick(P, k))
     return y2, x2
 
 

@@ -75,3 +75,31 @@ def reachable_lattice(theta0: float, n: int, params: MapParams) -> list[set]:
                     nxt.add(child)
         levels.append(nxt)
     return [{value(st) for st in lv} for lv in levels]
+
+
+def paper_table(theta: float, alpha: float) -> tuple[float, float, float, float]:
+    """The paper's branch probabilities (p_1, p_2, p_3, p_4) at one angle.
+
+    Written region by region from u_a(theta) = (1 + tan(a) * cot(theta)) / 2,
+    with cot = cos/sin, and nothing from the library: the regions are
+    half-open, so a breakpoint belongs to the region on its right.
+    """
+    a, pi, t = alpha, math.pi, theta
+    c = math.cos(2.0 * a)
+
+    def u(b, sign):  # u_b(sign * theta)
+        return 0.5 * (1.0 + sign * math.tan(b) * math.cos(t) / math.sin(t))
+
+    if t < a:
+        return (1.0, 0.0, 0.0, 0.0)
+    if t < 2 * a:
+        return (u(a, 1), 0.0, 0.0, u(a, -1))
+    if t < 3 * a:
+        return (u(a, 1), 0.0, 2 * c * u(2 * a, -1), u(a, -1) - 2 * c * u(2 * a, -1))
+    if t < pi - 3 * a:
+        return (u(a, 1), 0.0, u(a, -1), 0.0)
+    if t < pi - 2 * a:
+        return (2 * c * u(2 * a, 1), u(a, 1) - 2 * c * u(2 * a, 1), u(a, -1), 0.0)
+    if t < pi - a:
+        return (0.0, u(a, 1), u(a, -1), 0.0)
+    return (0.0, 0.0, 1.0, 0.0)

@@ -1,14 +1,20 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 PI = math.pi
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env=None):
+    # the CLI runs in a child process, which pytest's `pythonpath` does not reach
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "knudsen_billiard", *args],
         capture_output=True,

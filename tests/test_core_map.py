@@ -17,6 +17,7 @@ from knudsen_billiard.core_map import (
     reflect_sym,
     rotation_beta,
     sample_branch,
+    select_branch,
     tau,
     tau_all,
     u_alpha,
@@ -127,6 +128,16 @@ class TestProb:
             sums = prob_all(t, params).sum(axis=0)
             assert np.abs(sums - 1.0).max() < 1e-12
 
+    def test_non_finite_theta_rejected(self, params):
+        # NaN fails every comparison, so it must not slip into a region or a branch
+        for bad in (math.nan, math.inf, np.array([0.3, math.nan])):
+            with pytest.raises(ValueError):
+                prob_all(bad, params)
+            with pytest.raises(ValueError):
+                tau_all(bad, params)
+        with pytest.raises(ValueError):
+            branch_choices([math.nan], [0.3], params)
+
     def test_range_after_clamping(self, params):
         t = np.linspace(0.0, PI, 10_000)
         P = prob_all(t, params)
@@ -229,6 +240,14 @@ class TestSampleBranch:
     def test_u_range_enforced(self, params):
         with pytest.raises(ValueError):
             sample_branch(0.2, 1.0, params)
+
+    def test_non_finite_u_rejected(self, params):
+        P = prob_all(np.array([0.2, 1.5]), params)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                select_branch(P, np.array([0.3, bad]))
+            with pytest.raises(ValueError):
+                sample_branch(1.5, bad, params)
 
     def test_monte_carlo_frequencies_match_probabilities(self, params):
         # three-branch region; frequencies must sit within 3 sigma at N=1e5
