@@ -20,11 +20,12 @@ from knudsen_billiard import (
     cylinder_fiber,
     enumerate_fibers,
     fiber_measure,
-    locate_branch,
+    prob_all,
     skew_step,
     theorem1_check,
     uniform_density,
 )
+from knudsen_billiard.core_map import select_branch
 
 PI = math.pi
 params = MapParams(0.5)
@@ -38,10 +39,10 @@ for k in (1, 2, 3, 4):
 print()
 print("stepping a few points:")
 for y, x in ((0.40, 0.20), (0.75, PI / 2), (0.10, 2.00)):
-    p = SkewPoint(y, x)
-    q = skew_step(p, params)
+    q = skew_step(SkewPoint(y, x), params)
+    slab = select_branch(prob_all(np.array([x]), params), np.array([y]))[0]
     print(
-        f"  S({y:.2f}, {x:.4f}) lands in slab {locate_branch(p, params)}"
+        f"  S({y:.2f}, {x:.4f}) lands in slab {slab}"
         f" -> ({q.y:.4f}, {q.x:.4f})"
     )
 

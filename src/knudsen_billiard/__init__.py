@@ -13,15 +13,12 @@ from .core_map import (
     BRANCHES,
     KernelRow,
     MapParams,
-    branch_choices,
     conjugate_index,
     kernel_row,
     m2_region,
-    prob,
     prob_all,
     reflect_sym,
     rotation_beta,
-    sample_branch,
     tau,
     tau_all,
     u_alpha,
@@ -65,7 +62,6 @@ from .skew import (
     cylinder_fiber,
     enumerate_fibers,
     fiber_measure,
-    locate_branch,
     skew_step,
     skew_step_many,
     theorem1_check,

@@ -144,7 +144,7 @@ def cmd_kernel(args) -> int:
 
 
 def _evolve_checkpoints(config: RunConfig, max_atoms: int):
-    """Yield (step, Histogram) at each checkpoint of the configured run."""
+    """List of (step, Histogram) at each checkpoint of the configured run."""
     params = MapParams(config.alpha)
     nu0 = _initial_measure(config)
     cps = checkpoint_steps(config.steps)
@@ -182,6 +182,8 @@ def cmd_evolve(args) -> int:
         raise UsageError("particles and bins must be >= 1")
     if config.mode not in ("exact", "ensemble"):
         raise UsageError("mode must be exact or ensemble")
+    if config.fmt == "csv" and not args.output:
+        raise UsageError("--format csv needs --output BASE for the two tables")
     MapParams(config.alpha)  # validates alpha
 
     checkpoints = _evolve_checkpoints(config, args.max_atoms)
@@ -213,8 +215,6 @@ def cmd_evolve(args) -> int:
             print(text)
         return EXIT_OK
 
-    if not args.output:
-        raise UsageError("--format csv needs --output BASE for the two tables")
     hist_lines = ["step,bin_index,bin_lo,bin_hi,mass"]
     dist_lines = ["step,tv,ks"]
     for s, h in checkpoints:

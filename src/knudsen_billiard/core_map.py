@@ -128,8 +128,8 @@ def u_alpha(theta, a: float):
     Undefined at theta in {0, pi}.
     """
     t = np.asarray(theta, dtype=float)
-    if np.any(t <= 0.0) or np.any(t >= math.pi):
-        raise ValueError("u_alpha requires theta strictly inside (0, pi)")
+    if not np.all((t > 0.0) & (t < math.pi)):
+        raise ValueError("u_alpha requires finite theta strictly inside (0, pi)")
     out = 0.5 * (1.0 + math.tan(a) * np.cos(t) / np.sin(t))
     return _match(out, theta)
 
@@ -168,13 +168,6 @@ def prob_all(theta, params: MapParams) -> np.ndarray:
                              "the coefficient table is wrong")
     np.maximum(P, 0.0, out=P)
     return P[:, 0] if np.ndim(theta) == 0 else P
-
-
-def prob(k: int, theta, params: MapParams):
-    """Probability of branch k at theta, in [0, 1]."""
-    if k not in _CONJUGATE:
-        raise ValueError(f"branch index must be 1..4, got {k!r}")
-    return _match(np.asarray(prob_all(theta, params)[k - 1]), theta)
 
 
 @dataclass(frozen=True)
@@ -252,20 +245,6 @@ def _pick(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
     idx = k * k.size
     idx += np.arange(-k.size, 0)
     return rows.reshape(-1).take(idx)
-
-
-def branch_choices(thetas: np.ndarray, us: np.ndarray, params: MapParams) -> np.ndarray:
-    """Vectorised branch sampling: k with cum_(k-1)(theta) <= u < cum_k(theta)."""
-    t, u = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(thetas, dtype=float)),
-        np.atleast_1d(np.asarray(us, dtype=float)),
-    )
-    return select_branch(prob_all(t, params), u)
-
-
-def sample_branch(theta, u: float, params: MapParams) -> int:
-    """Branch index drawn from the partition at theta using the uniform u."""
-    return int(branch_choices(np.array([theta]), np.array([u]), params)[0])
 
 
 def reflect_sym(theta):

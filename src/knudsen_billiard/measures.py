@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core_map import MapParams, _step, prob_all, tau_all
+from .core_map import MapParams, _as_theta, _step, prob_all, tau_all
 
 MERGE_TOL = 1e-12  # atoms closer than this collapse into one
 MASS_TOL = 1e-9  # total-mass drift beyond this is a hard failure
@@ -40,6 +40,23 @@ def in_interval(theta, lo: float, hi: float):
     return out
 
 
+def _clusters(t: np.ndarray, w: np.ndarray):
+    """Sort atoms by position and group each with a left neighbour within MERGE_TOL.
+
+    Returns (t, w) sorted stably by t, the group id of each atom, and the
+    summed weight of each group.
+    """
+    order = np.argsort(t, kind="stable")
+    t, w = t[order], w[order]
+    starts = np.empty(t.size, dtype=bool)
+    starts[0] = True
+    np.greater(np.diff(t), MERGE_TOL, out=starts[1:])
+    gid = np.cumsum(starts) - 1
+    gw = np.zeros(int(gid[-1]) + 1)
+    np.add.at(gw, gid, w)
+    return t, w, gid, gw
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finitely supported probability measure on [0, pi].
@@ -58,31 +75,18 @@ class AtomicMeasure:
         w = np.asarray(weights, dtype=float).ravel()
         if t.size == 0 or t.size != w.size:
             raise ValueError("need matching, nonempty theta and weight arrays")
-        if np.any(w < 0.0):
+        if not np.all(w >= 0.0):
             raise ValueError("atom weights must be nonnegative")
-        if np.any(t < -1e-9) or np.any(t > math.pi + 1e-9):
-            raise ValueError("atom positions must lie in [0, pi]")
-        t = np.clip(t, 0.0, math.pi)
-
         keep = w > 0.0
-        t, w = t[keep], w[keep]
-        if t.size == 0:
+        if not keep.any():
             raise ValueError("measure has no mass")
-
-        order = np.argsort(t, kind="stable")
-        t, w = t[order], w[order]
-        starts = np.empty(t.size, dtype=bool)
-        starts[0] = True
-        np.greater(np.diff(t), MERGE_TOL, out=starts[1:])
-        gid = np.cumsum(starts) - 1
-        n = int(gid[-1]) + 1
-        gw = np.zeros(n)
-        np.add.at(gw, gid, w)
+        # no name holds the filtered copies, so the sort in _clusters frees them
+        t, w, gid, gw = _clusters(np.clip(_as_theta(t), 0.0, math.pi)[keep], w[keep])
         # representative of each cluster: its heaviest member, never an
         # invented average, so merged values stay on the exact orbit lattice
         # and agree bit-for-bit with sampled trajectories
         by_weight = np.lexsort((w, gid))
-        last = np.searchsorted(gid[by_weight], np.arange(n), side="right") - 1
+        last = np.searchsorted(gid[by_weight], np.arange(gw.size), side="right") - 1
         gt = t[by_weight[last]]
 
         total = gw.sum()
@@ -110,10 +114,7 @@ class AtomicMeasure:
 
 def mu_cdf(theta):
     """CDF of the sine law: mu([0, theta]) = (1 - cos(theta)) / 2."""
-    t = np.asarray(theta, dtype=float)
-    if np.any(t < -1e-9) or np.any(t > math.pi + 1e-9):
-        raise ValueError("theta outside [0, pi]")
-    out = 0.5 * (1.0 - np.cos(t))
+    out = 0.5 * (1.0 - np.cos(_as_theta(theta)))
     return float(out) if np.ndim(theta) == 0 else out
 
 
@@ -168,16 +169,9 @@ def tv_atomic(nu: AtomicMeasure, rho: AtomicMeasure) -> float:
     Atoms of the two supports are identified when closer than MERGE_TOL, which
     is sound when both measures live on a common lattice.
     """
-    t = np.concatenate([nu.thetas, rho.thetas])
-    s = np.concatenate([nu.weights, -rho.weights])
-    order = np.argsort(t, kind="stable")
-    t, s = t[order], s[order]
-    starts = np.empty(t.size, dtype=bool)
-    starts[0] = True
-    np.greater(np.diff(t), MERGE_TOL, out=starts[1:])
-    gid = np.cumsum(starts) - 1
-    g = np.zeros(int(gid[-1]) + 1)
-    np.add.at(g, gid, s)
+    *_, g = _clusters(
+        np.concatenate([nu.thetas, rho.thetas]), np.concatenate([nu.weights, -rho.weights])
+    )
     return 0.5 * float(np.abs(g).sum())
 
 

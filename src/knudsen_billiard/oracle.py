@@ -16,7 +16,7 @@ the analytic map and probability table describe this geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,15 +70,6 @@ class CellGeometry:
         a = np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
         b = np.array([(1.0, 0.0), self.apex, self.apex])
         return a, b
-
-
-@dataclass
-class ParticleState:
-    """Position, unit direction and bounce count of one traced particle."""
-
-    position: np.ndarray
-    direction: np.ndarray
-    bounce_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -210,40 +201,48 @@ def first_return(x: float, theta_in: float, geom: CellGeometry) -> ReturnRecord:
     )
 
 
-def _kernel_counts(theta_in: float, samples: int, seed: int, geom: CellGeometry):
-    """Branch tallies for uniformly random entry points at a fixed angle.
+def _traced_entries(draw, samples: int, max_rounds: int, geom: CellGeometry):
+    """Yield (exit_x, theta_out) batches until `samples` entries have been traced.
 
-    Returns (counts[4], unclassified, corner_redraws).  Corner hits are
-    discarded and redrawn from fresh counter blocks; they have probability 0.
+    Round r calls draw(r, remaining) for fresh entries (xs, thetas), traced in
+    _CHUNK batches.  Corner hits have probability 0: they are dropped, and the
+    next round draws exactly as many entries as were lost, from its own
+    counter blocks.  Raises CornerHitError after max_rounds short rounds.
     """
-    params = MapParams(geom.alpha)
-    images = tau_all(theta_in, params)
+    remaining = samples
+    for round_id in range(max_rounds):
+        if remaining == 0:
+            return
+        xs, thetas = draw(round_id, remaining)
+        for off in range(0, xs.size, _CHUNK):
+            ex, th, _, corner = _trace_batch(
+                xs[off : off + _CHUNK], thetas[off : off + _CHUNK], geom
+            )
+            ok = ~corner
+            remaining -= int(np.count_nonzero(ok))
+            yield ex[ok], th[ok]
+    if remaining:
+        raise CornerHitError("corner redraw limit hit; geometry is degenerate")
+
+
+def _kernel_counts(theta_in: float, samples: int, seed: int, geom: CellGeometry):
+    """Branch tallies (counts[4], unclassified) for uniform entry points at a fixed angle."""
+    images = tau_all(theta_in, MapParams(geom.alpha))
     counts = np.zeros(4, dtype=np.int64)
     unclassified = 0
-    redraws = 0
 
-    remaining = samples
-    round_id = 0
-    while remaining > 0:
-        if round_id >= 64:
-            raise CornerHitError("corner redraw limit hit; geometry is degenerate")
-        xs_all = rng.uniforms(seed, round_id, remaining)
-        xs_all = xs_all[(xs_all > 0.0)]  # x must be strictly inside (0, 1)
-        for off in range(0, xs_all.size, _CHUNK):
-            xs = xs_all[off : off + _CHUNK]
-            thetas = np.full(xs.size, float(theta_in))
-            _, th, _, corner = _trace_batch(xs, thetas, geom)
-            ok = ~corner
-            redraws += int(np.count_nonzero(corner))
-            th_ok = th[ok]
-            dev = np.abs(th_ok[:, None] - images[None, :])
-            best = np.argmin(dev, axis=1)
-            good = dev[np.arange(th_ok.size), best] < MATCH_TOL
-            np.add.at(counts, best[good], 1)
-            unclassified += int(np.count_nonzero(~good))
-        remaining = samples - int(counts.sum()) - unclassified
-        round_id += 1
-    return counts, unclassified, redraws
+    def draw(round_id, n):
+        xs = rng.uniforms(seed, round_id, n)
+        xs = xs[xs > 0.0]  # x must be strictly inside (0, 1)
+        return xs, np.broadcast_to(float(theta_in), xs.shape)
+
+    for _, th in _traced_entries(draw, samples, 64, geom):
+        dev = np.abs(th[:, None] - images[None, :])
+        best = np.argmin(dev, axis=1)
+        good = dev[np.arange(th.size), best] < MATCH_TOL
+        np.add.at(counts, best[good], 1)
+        unclassified += int(np.count_nonzero(~good))
+    return counts, unclassified
 
 
 def empirical_kernel(
@@ -257,7 +256,7 @@ def empirical_kernel(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    counts, unclassified, _ = _kernel_counts(theta_in, samples, seed, geom)
+    counts, unclassified = _kernel_counts(theta_in, samples, seed, geom)
     if unclassified > 1e-6 * samples:
         raise BranchClosureError(
             f"{unclassified} of {samples} exits matched no branch image"
@@ -273,16 +272,6 @@ class GridPointResult:
     max_abs_dev: float
     max_z: float
     unclassified: int
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "freqs": list(self.freqs),
-            "probs": list(self.probs),
-            "max_abs_dev": self.max_abs_dev,
-            "max_z": self.max_z,
-            "unclassified": self.unclassified,
-        }
 
 
 @dataclass(frozen=True)
@@ -302,15 +291,7 @@ class ValidationReport:
         return sum(p.unclassified for p in self.points)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "samples": self.samples,
-            "z_limit": self.z_limit,
-            "max_z": self.max_z,
-            "unclassified_total": self.unclassified_total,
-            "passed": self.passed,
-            "points": [p.to_dict() for p in self.points],
-        }
+        return dict(asdict(self), max_z=self.max_z, unclassified_total=self.unclassified_total)
 
 
 def validation_grid(alpha: float, n: int, margin: float = 1e-6) -> np.ndarray:
@@ -339,9 +320,7 @@ def validate_m1_m2(
     params = MapParams(geom.alpha)
     points = []
     for i, th in enumerate(np.asarray(theta_grid, dtype=float)):
-        counts, unclassified, _ = _kernel_counts(
-            th, samples, rng.derive_seed(seed, i), geom
-        )
+        counts, unclassified = _kernel_counts(th, samples, rng.derive_seed(seed, i), geom)
         freqs = counts / samples
         probs = prob_all(th, params)
         zs = np.zeros(4)
@@ -383,16 +362,7 @@ class PushforwardReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "samples": self.samples,
-            "bins": self.bins,
-            "max_z": self.max_z,
-            "failed_bins": self.failed_bins,
-            "marginal_x_max_dev": self.marginal_x_max_dev,
-            "marginal_theta_max_dev": self.marginal_theta_max_dev,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def liouville_pushforward_check(
@@ -410,28 +380,17 @@ def liouville_pushforward_check(
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for a meaningful bin test")
 
+    def draw(round_id, n):
+        xs = rng.uniforms(seed, 2 * round_id, n)
+        thetas = np.arccos(1.0 - 2.0 * rng.uniforms(seed, 2 * round_id + 1, n))
+        keep = (xs > 0.0) & (thetas > 1e-12) & (thetas < math.pi - 1e-12)
+        return xs[keep], thetas[keep]
+
     counts = np.zeros((bins, bins), dtype=np.int64)
-    remaining = samples
-    round_id = 0
-    while remaining > 0:
-        if round_id >= 32:
-            raise CornerHitError("corner redraw limit hit")
-        xs = rng.uniforms(seed, 2 * round_id, remaining)
-        thetas = np.arccos(1.0 - 2.0 * rng.uniforms(seed, 2 * round_id + 1, remaining))
-        ok_in = (xs > 0.0) & (thetas > 1e-12) & (thetas < math.pi - 1e-12)
-        xs, thetas = xs[ok_in], thetas[ok_in]
-        got = 0
-        for off in range(0, xs.size, _CHUNK):
-            ex, th, _, corner = _trace_batch(
-                xs[off : off + _CHUNK], thetas[off : off + _CHUNK], geom
-            )
-            ok = ~corner
-            ix = np.minimum((ex[ok] * bins).astype(int), bins - 1)
-            it = np.minimum((th[ok] / math.pi * bins).astype(int), bins - 1)
-            np.add.at(counts, (ix, it), 1)
-            got += int(np.count_nonzero(ok))
-        remaining = samples - int(counts.sum())
-        round_id += 1
+    for ex, th in _traced_entries(draw, samples, 32, geom):
+        ix = np.minimum((ex * bins).astype(int), bins - 1)
+        it = np.minimum((th / math.pi * bins).astype(int), bins - 1)
+        np.add.at(counts, (ix, it), 1)
 
     expected = np.outer(np.full(bins, 1.0 / bins), mu_bin_masses(bins))
     freq = counts / samples

@@ -21,15 +21,7 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from . import rng
-from .core_map import (
-    BRANCHES,
-    MapParams,
-    _pick,
-    _step,
-    branch_choices,
-    prob_all,
-    tau,
-)
+from .core_map import BRANCHES, MapParams, _pick, _step, prob_all, tau
 from .measures import AtomicMeasure, evolve, in_interval
 
 Y_TOL = 1e-12  # tolerated float escape of y from [0, 1)
@@ -89,11 +81,6 @@ class FiberInterval:
 
 
 _EMPTY = FiberInterval(0.0, 0.0)
-
-
-def locate_branch(p: SkewPoint, params: MapParams) -> int:
-    """Index k of the slab J_k containing (y, x)."""
-    return int(branch_choices(np.array([p.x]), np.array([p.y]), params)[0])
 
 
 def _clamp_y(y):

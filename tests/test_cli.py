@@ -103,6 +103,13 @@ class TestEvolveCommand:
             "evolve", "--alpha", "0.5", "--steps", "1", "--format", "csv",
         )
         assert res.returncode == 2
+        # refused before the run, so the atom cap it would hit is never reached
+        res = run_cli(
+            "evolve", "--alpha", "0.5", "--steps", "10", "--mode", "exact",
+            "--max-atoms", "50", "--format", "csv",
+        )
+        assert res.returncode == 2
+        assert "--output" in res.stderr
 
     def test_atom_cap_exits_3(self):
         res = run_cli(

@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from knudsen_billiard.core_map import (
     BRANCHES,
     MapParams,
-    branch_choices,
     conjugate_index,
     kernel_row,
     m2_region,
-    prob,
     prob_all,
     reflect_sym,
     rotation_beta,
-    sample_branch,
     select_branch,
     tau,
     tau_all,
@@ -100,26 +97,26 @@ class TestUAlpha:
         assert up + um == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_endpoint_angles(self):
-        for bad in (0.0, PI):
+        for bad in (0.0, PI, math.nan, math.inf, np.array([0.6, math.nan])):
             with pytest.raises(ValueError):
                 u_alpha(bad, 0.5)
 
 
 class TestProb:
     def test_certain_branch_near_zero(self, params):
-        assert prob(1, 0.2, params) == 1.0
+        assert prob_all(0.2, params)[0] == 1.0
 
     def test_certain_branch_near_pi(self, params):
-        assert prob(3, PI - 0.1, params) == 1.0
+        assert prob_all(PI - 0.1, params)[2] == 1.0
 
     def test_three_branch_region_values(self, params):
         # theta = pi - 1.3 sits in [pi-3a, pi-2a); all three values frozen from
         # a 50-digit evaluation of the table
-        theta = PI - 1.3
-        assert prob(1, theta, params) == pytest.approx(0.3066967943750982, abs=1e-15)
-        assert prob(2, theta, params) == pytest.approx(0.11747214616239661, abs=1e-15)
-        assert prob(3, theta, params) == pytest.approx(0.5758310594625052, abs=1e-15)
-        assert prob(4, theta, params) == 0.0
+        P = prob_all(PI - 1.3, params)
+        assert P[0] == pytest.approx(0.3066967943750982, abs=1e-15)
+        assert P[1] == pytest.approx(0.11747214616239661, abs=1e-15)
+        assert P[2] == pytest.approx(0.5758310594625052, abs=1e-15)
+        assert P[3] == 0.0
 
     def test_partition_of_unity_on_grid(self):
         for alpha in np.linspace(0.02, PI / 6 - 0.01, 10):
@@ -135,8 +132,6 @@ class TestProb:
                 prob_all(bad, params)
             with pytest.raises(ValueError):
                 tau_all(bad, params)
-        with pytest.raises(ValueError):
-            branch_choices([math.nan], [0.3], params)
 
     def test_range_after_clamping(self, params):
         t = np.linspace(0.0, PI, 10_000)
@@ -229,31 +224,33 @@ class TestKernelRow:
             )
 
 
+def _draw(thetas, us, params):
+    return select_branch(prob_all(np.asarray(thetas, dtype=float), params), np.asarray(us))
+
+
 class TestSampleBranch:
     def test_certain_region_ignores_u(self, params):
-        assert sample_branch(0.2, 0.73, params) == 1
+        assert _draw([0.2, 0.2], [0.0, 0.73], params).tolist() == [1, 1]
 
     def test_half_pi_split(self, params):
-        assert sample_branch(PI / 2, 0.49, params) == 1
-        assert sample_branch(PI / 2, 0.51, params) == 3
+        assert _draw([PI / 2, PI / 2], [0.49, 0.51], params).tolist() == [1, 3]
 
     def test_u_range_enforced(self, params):
-        with pytest.raises(ValueError):
-            sample_branch(0.2, 1.0, params)
+        for bad in (1.0, -0.1):
+            with pytest.raises(ValueError):
+                _draw([0.2], [bad], params)
 
     def test_non_finite_u_rejected(self, params):
         P = prob_all(np.array([0.2, 1.5]), params)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 select_branch(P, np.array([0.3, bad]))
-            with pytest.raises(ValueError):
-                sample_branch(1.5, bad, params)
 
     def test_monte_carlo_frequencies_match_probabilities(self, params):
         # three-branch region; frequencies must sit within 3 sigma at N=1e5
         theta, n = 2.0, 100_000
         u = rng.uniforms(seed=123, stream_id=0, n=n)
-        k = branch_choices(np.full(n, theta), u, params)
+        k = _draw(np.full(n, theta), u, params)
         P = prob_all(theta, params)
         for b in BRANCHES:
             freq = np.count_nonzero(k == b) / n
@@ -335,5 +332,6 @@ def test_reflection_conjugation_property(alpha, theta):
 @settings(max_examples=200, deadline=None)
 def test_sampled_branch_is_always_live(alpha, theta, u):
     params = MapParams(alpha)
-    k = sample_branch(theta, u, params)
-    assert prob(k, theta, params) > 0.0
+    P = prob_all(np.array([theta]), params)
+    k = select_branch(P, np.array([u]))[0]
+    assert P[k - 1, 0] > 0.0

@@ -48,8 +48,21 @@ class TestAtomicMeasure:
             AtomicMeasure.from_atoms([1.0, 2.0], [0.5, 0.6])
 
     def test_rejects_out_of_range_atoms(self):
-        with pytest.raises(ValueError):
-            AtomicMeasure.from_atoms([-0.5], [1.0])
+        # a NaN position must not merge into its neighbour
+        for thetas in ([-0.5], [0.3, math.nan]):
+            with pytest.raises(ValueError):
+                AtomicMeasure.from_atoms(thetas, [1.0 / len(thetas)] * len(thetas))
+
+    def test_rejects_bad_weights(self):
+        # a NaN weight must not be dropped as if it were 0
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ValueError):
+                AtomicMeasure.from_atoms([0.3, 0.5], [bad, 1.0])
+
+    def test_merge_keeps_heaviest_member_exactly(self):
+        nu = AtomicMeasure.from_atoms([1.0, 1.0 + 5e-13], [0.25, 0.75])
+        assert nu.thetas.tolist() == [1.0 + 5e-13]
+        assert nu.weights.tolist() == [1.0]
 
     def test_interval_mass_convention(self):
         nu = AtomicMeasure.from_atoms([0.5, 1.0, PI], [0.25, 0.25, 0.5])
@@ -63,6 +76,11 @@ class TestMuCdf:
         assert mu_cdf(0.0) == 0.0
         assert mu_cdf(PI / 2) == pytest.approx(0.5, abs=1e-15)
         assert mu_cdf(PI) == pytest.approx(1.0, abs=1e-15)
+
+    def test_rejects_non_finite_theta(self):
+        for bad in (math.nan, math.inf, np.array([0.3, math.nan])):
+            with pytest.raises(ValueError):
+                mu_cdf(bad)
 
     def test_bin_masses_sum_to_one(self):
         assert mu_bin_masses(45).sum() == pytest.approx(1.0, abs=1e-12)
@@ -141,6 +159,12 @@ class TestTvAtomic:
     def test_identical_measures(self):
         nu = AtomicMeasure.from_atoms([0.5, 1.5], [0.5, 0.5])
         assert tv_atomic(nu, nu) == 0.0
+
+    def test_atoms_within_merge_tol_are_identified(self):
+        nu = AtomicMeasure.from_atoms([1.0, 2.0], [0.5, 0.5])
+        rho = AtomicMeasure.from_atoms([1.0 + 5e-13, 2.0 - 5e-13], [0.5, 0.5])
+        assert tv_atomic(nu, rho) == 0.0
+        assert tv_atomic(rho, nu) == 0.0
 
     def test_disjoint_supports(self):
         nu = AtomicMeasure.point(0.5)

@@ -8,8 +8,10 @@ from knudsen_billiard.oracle import (
     CellGeometry,
     CornerHitError,
     ReturnRecord,
+    _kernel_counts,
     _reflect,
     _trace_batch,
+    _traced_entries,
     empirical_kernel,
     first_return,
     liouville_pushforward_check,
@@ -163,6 +165,42 @@ class TestEmpiricalKernel:
         assert a == b
 
 
+class TestRedrawLoop:
+    def test_redraws_exactly_what_was_lost(self, geom):
+        asked = []
+
+        def draw(round_id, n):
+            # keep every other entry, as if the rest were inadmissible
+            asked.append(n)
+            xs = rng.uniforms(11, round_id, n)[::2]
+            return xs, np.full(xs.size, 1.1)
+
+        got = sum(ex.size for ex, _ in _traced_entries(draw, 1000, 64, geom))
+        assert got == 1000
+        assert asked == [1000, 500, 250, 125, 62, 31, 15, 7, 3, 1]  # n - ceil(n / 2)
+
+    @pytest.mark.parametrize(
+        "run, calls",
+        [
+            (lambda geom: _kernel_counts(1.1, 100, 0, geom), 64),
+            (lambda geom: liouville_pushforward_check(10_000, 0, geom), 2 * 32),
+        ],
+        ids=["kernel_counts", "liouville"],
+    )
+    def test_round_caps(self, geom, monkeypatch, run, calls):
+        # x = 0 is never a valid entry, so every round comes back empty
+        seen = []
+
+        def zeros(seed, stream_id, n):
+            seen.append(stream_id)
+            return np.zeros(n)
+
+        monkeypatch.setattr(rng, "uniforms", zeros)
+        with pytest.raises(CornerHitError):
+            run(geom)
+        assert len(seen) == calls
+
+
 class TestValidate:
     def test_grid_avoids_breakpoints(self, params):
         grid = validation_grid(ALPHA, 50)
@@ -179,6 +217,13 @@ class TestValidate:
         d = report.to_dict()
         assert d["passed"] is True
         assert len(d["points"]) == 8
+        # key sets of the CLI's JSON, as written before to_dict used asdict
+        assert set(d) == {
+            "alpha", "samples", "z_limit", "max_z", "unclassified_total", "passed", "points",
+        }
+        assert set(d["points"][0]) == {
+            "theta", "freqs", "probs", "max_abs_dev", "max_z", "unclassified",
+        }
 
     def test_certain_point_recorded_exactly(self, geom):
         report = validate_m1_m2(np.array([0.2]), 5_000, 2, geom)
@@ -196,6 +241,13 @@ class TestLiouville:
         # marginals: exit position uniform, outgoing angle sine-law
         assert report.marginal_x_max_dev < 0.004
         assert report.marginal_theta_max_dev < 0.004
+
+    def test_report_keys(self, geom):
+        d = liouville_pushforward_check(10_000, 6, geom).to_dict()
+        assert set(d) == {
+            "alpha", "samples", "bins", "max_z", "failed_bins",
+            "marginal_x_max_dev", "marginal_theta_max_dev", "passed",
+        }
 
     def test_rejects_tiny_sample(self, geom):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from knudsen_billiard import rng
-from knudsen_billiard.core_map import MapParams, prob, prob_all
+from knudsen_billiard.core_map import MapParams, prob_all, select_branch
 from knudsen_billiard.measures import (
     AtomicMeasure,
     atomize_density,
@@ -19,7 +19,6 @@ from knudsen_billiard.skew import (
     cylinder_fiber,
     enumerate_fibers,
     fiber_measure,
-    locate_branch,
     skew_step,
     skew_step_many,
     theorem1_check,
@@ -54,12 +53,17 @@ class TestTypes:
         assert FiberInterval(0.2, 0.2).is_empty
 
 
+def _slab(y, x, params):
+    """Index k of the slab J_k containing each (y, x)."""
+    return select_branch(prob_all(np.asarray(x, dtype=float), params), np.asarray(y))
+
+
 class TestLocateAndStep:
     def test_locate_certain_region(self, params):
-        assert locate_branch(SkewPoint(0.3, 0.2), params) == 1
+        assert _slab([0.3], [0.2], params).tolist() == [1]
 
     def test_locate_half_pi(self, params):
-        assert locate_branch(SkewPoint(0.51, PI / 2), params) == 3
+        assert _slab([0.51], [PI / 2], params).tolist() == [3]
 
     def test_step_identity_slab(self, params):
         out = skew_step(SkewPoint(0.4, 0.2), params)
@@ -88,9 +92,9 @@ class TestLocateAndStep:
 
     def test_every_point_in_exactly_one_slab(self, params):
         gen = np.random.Generator(np.random.Philox(key=9))
-        for _ in range(200):
-            y, x = gen.uniform(0, 1), gen.uniform(0, PI)
-            k = locate_branch(SkewPoint(y, x), params)
+        points = [(gen.uniform(0, 1), gen.uniform(0, PI)) for _ in range(200)]
+        ys, xs = np.array(points).T
+        for y, x, k in zip(ys, xs, _slab(ys, xs, params)):
             hits = [
                 not cylinder_fiber(x, CylinderWord((b,)), params).is_empty
                 and cylinder_fiber(x, CylinderWord((b,)), params).lo
@@ -118,14 +122,14 @@ class TestCylinderFibers:
         w = CylinderWord((1, 1))
         f = cylinder_fiber(PI / 2, w, params)
         assert f.is_empty
-        assert prob(1, PI / 2 + 1, params) == 0.0
+        assert prob_all(PI / 2 + 1, params)[0] == 0.0
         assert fiber_measure(PI / 2, w, params) == 0.0
 
     def test_word_31_at_half_pi(self, params):
         # first apply branch 1 at pi/2 (lower half slab), then branch 3
         w = CylinderWord((3, 1))
         f = cylinder_fiber(PI / 2, w, params)
-        want = 0.5 * prob(3, PI / 2 + 1, params)
+        want = 0.5 * prob_all(PI / 2 + 1, params)[2]
         assert not f.is_empty
         assert 0.0 <= f.lo and f.hi <= 0.5 + 1e-15
         assert f.length == pytest.approx(want, abs=1e-14)
