@@ -98,8 +98,8 @@ def _load_initial_file(path: str, bins: int) -> AtomicMeasure:
             raise UsageError("no atoms in initial file")
         t, w = zip(*body)
         total = sum(w)
-        if total <= 0:
-            raise UsageError("atom weights must have positive total")
+        if not 0 < total < math.inf:
+            raise UsageError("atom weights must have a finite positive total")
         return AtomicMeasure.from_atoms(t, np.asarray(w) / total)
     if header == ["bin_lo", "bin_hi", "density"]:
         if not body:

@@ -45,12 +45,9 @@ _CONJUGATE = {1: 3, 2: 4, 3: 1, 4: 2}
 
 @dataclass(frozen=True)
 class MapParams:
-    """Cell angle alpha plus the trig constants and probability table of hot loops."""
+    """Cell angle alpha plus the probability coefficient table of hot loops."""
 
     alpha: float
-    tan_alpha: float = field(init=False, repr=False)
-    tan_2alpha: float = field(init=False, repr=False)
-    cos_2alpha: float = field(init=False, repr=False)
     _A: np.ndarray = field(init=False, repr=False, compare=False)
     _B: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -70,9 +67,8 @@ class MapParams:
                       [0.0, 0.0, -s,        -h,  -h,        -h,  0.0],
                       [0.0, -h,  s - h,     0.0, 0.0,       0.0, 0.0]])
         A.flags.writeable = B.flags.writeable = False
-        for name, value in zip(("tan_alpha", "tan_2alpha", "cos_2alpha", "_A", "_B"),
-                               (ta, t2a, c2a, A, B)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_A", A)
+        object.__setattr__(self, "_B", B)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -94,19 +90,9 @@ def _match(out: np.ndarray, like) -> float | np.ndarray:
 
 def tau(k: int, theta, params: MapParams):
     """Exit-angle image of branch k; may leave [0, pi] where its probability is 0."""
-    t = _as_theta(theta)
-    a = params.alpha
-    if k == 1:
-        out = t + 2.0 * a
-    elif k == 2:
-        out = -t + 2.0 * math.pi - 4.0 * a
-    elif k == 3:
-        out = t - 2.0 * a
-    elif k == 4:
-        out = -t + 4.0 * a
-    else:
+    if k not in BRANCHES:
         raise ValueError(f"branch index must be 1..4, got {k!r}")
-    return _match(out, theta)
+    return _match(tau_all(theta, params)[int(k) - 1], theta)
 
 
 def tau_all(theta, params: MapParams) -> np.ndarray:
@@ -217,6 +203,8 @@ def select_branch(P: np.ndarray, u: np.ndarray, return_cum: bool = False):
     the float-noise sliver u >= cum_4; those draws are stepped back to the last
     positive branch.  return_cum also returns the rows (cum_1, cum_2, cum_3).
     """
+    if np.ndim(u) != 1 or np.shape(P) != (4, np.size(u)):
+        raise ValueError("select_branch takes a (4, N) probability stack and N uniforms")
     if not np.all((u >= 0.0) & (u < 1.0)):
         raise ValueError("u must be finite and lie in [0, 1)")
     c1 = P[0]

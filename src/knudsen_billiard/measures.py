@@ -75,8 +75,8 @@ class AtomicMeasure:
         w = np.asarray(weights, dtype=float).ravel()
         if t.size == 0 or t.size != w.size:
             raise ValueError("need matching, nonempty theta and weight arrays")
-        if not np.all(w >= 0.0):
-            raise ValueError("atom weights must be nonnegative")
+        if not np.all((w >= 0.0) & (w < np.inf)):
+            raise ValueError("atom weights must be finite and nonnegative")
         keep = w > 0.0
         if not keep.any():
             raise ValueError("measure has no mass")

@@ -21,7 +21,7 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from . import rng
-from .core_map import BRANCHES, MapParams, _pick, _step, prob_all, tau
+from .core_map import BRANCHES, MapParams, _pick, _step, prob_all, tau, tau_all
 from .measures import AtomicMeasure, evolve, in_interval
 
 Y_TOL = 1e-12  # tolerated float escape of y from [0, 1)
@@ -151,38 +151,36 @@ def enumerate_fibers(x: float, max_len: int, params: MapParams):
     """Yield (word, FiberInterval, probability product) for every word up to max_len.
 
     Exhaustive over all 4 + 4**2 + ... + 4**max_len words, including the empty
-    ones.  The interval arithmetic is shared along the orbit tree, so this is
-    the cheap way to sweep thousands of words per base point.
+    ones, grouped by length: all words of length 1, then all of length 2, and
+    so on, each length in lexicographic order.  The orbit tree is walked one
+    level at a time, with one prob_all and one tau_all call on all of a
+    level's points, so this is the cheap way to sweep thousands of words per
+    base point.  A word is empty, with product 0, once any branch probability
+    along its orbit is 0.
     """
-
-    def _dead(prefix, depth):
-        # all extensions of a zero-probability branch are empty
-        for ext in range(1, depth + 1):
-            for tail in _iterproduct(BRANCHES, repeat=ext):
-                yield tail + prefix, _EMPTY, 0.0
-
-    def _walk(cur, chain, off, scale, depth):
-        P = prob_all(cur, params)
-        cum_lo = 0.0
-        for i in BRANCHES:
-            p = float(P[i - 1])
-            word = tuple(reversed(chain + (i,)))
-            if p == 0.0:
-                yield word, _EMPTY, 0.0
-                if depth > 1:
-                    yield from _dead(word, depth - 1)
-            else:
-                lo = off + scale * cum_lo
-                hi = off + scale * (cum_lo + p)
-                yield word, FiberInterval(lo, hi), scale * p
-                if depth > 1:
-                    nxt = min(max(tau(i, cur, params), 0.0), math.pi)
-                    yield from _walk(nxt, chain + (i,), lo, scale * p, depth - 1)
-            cum_lo += p
-
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    yield from _walk(float(x), (), 0.0, 1.0, max_len)
+    # one entry per word of the previous length, in the order yielded
+    cur, off, scale = np.array([float(x)]), np.zeros(1), np.ones(1)
+    dead = np.zeros(1, dtype=bool)
+    for n in range(1, max_len + 1):
+        P = prob_all(cur, params)
+        # slab bottoms 0, p_1, p_1 + p_2, (p_1 + p_2) + p_3, summed left to right;
+        # row k - 1 prepends branch k to every shorter word, so ravel() keeps each
+        # length in lexicographic order
+        cum = np.zeros_like(P)
+        for k in (1, 2, 3):
+            cum[k] = cum[k - 1] + P[k - 1]
+        lo = (off + scale * cum).ravel()
+        hi = (off + scale * (cum + P)).ravel()
+        scale = (scale * P).ravel()
+        dead = (dead | (P == 0.0)).ravel()
+        for word, a, b, m, gone in zip(_iterproduct(BRANCHES, repeat=n), lo.tolist(),
+                                       hi.tolist(), scale.tolist(), dead.tolist()):
+            yield (word, _EMPTY, 0.0) if gone else (word, FiberInterval(a, b), m)
+        if n < max_len:
+            cur = np.clip(tau_all(cur, params), 0.0, math.pi).ravel()
+            off = lo
 
 
 @dataclass(frozen=True)

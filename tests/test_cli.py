@@ -130,6 +130,19 @@ class TestEvolveCommand:
         doc = json.loads(res.stdout)
         assert sum(1 for m in doc["checkpoints"][0]["masses"] if m > 0) == 2
 
+    def test_file_initial_non_finite_weights_exit_2(self, tmp_path):
+        f = tmp_path / "init.csv"
+        # the last pair is finite but its total overflows
+        for w1, w2 in (("inf", "1"), ("nan", "1"), ("1e308", "1e308")):
+            f.write_text(f"theta,weight\n0.3,{w1}\n0.5,{w2}\n")
+            res = run_cli(
+                "evolve", "--alpha", "0.5", "--steps", "0", "--mode", "exact",
+                "--initial", f"file:{f}",
+            )
+            assert res.returncode == 2
+            assert "finite positive total" in res.stderr
+            assert "RuntimeWarning" not in res.stderr
+
     def test_file_initial_density(self, tmp_path):
         f = tmp_path / "init.csv"
         f.write_text(f"bin_lo,bin_hi,density\n0,{PI / 2},1\n{PI / 2},{PI},3\n")

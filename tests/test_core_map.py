@@ -43,11 +43,6 @@ class TestMapParams:
             with pytest.raises(ValueError):
                 MapParams(bad)
 
-    def test_precomputed_constants(self, params):
-        assert params.tan_alpha == math.tan(ALPHA)
-        assert params.tan_2alpha == math.tan(2 * ALPHA)
-        assert params.cos_2alpha == math.cos(2 * ALPHA)
-
     def test_breakpoints_ordered(self, params):
         b = params.breakpoints
         assert all(x < y for x, y in zip(b, b[1:]))
@@ -245,6 +240,22 @@ class TestSampleBranch:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 select_branch(P, np.array([0.3, bad]))
+
+    def test_rejects_scalar_draw_in_dead_branch_sliver(self, params):
+        # u >= cum_3 with p_4 = 0 is the sliver where draws step back; a
+        # scalar angle and u used to reach it and raise IndexError there
+        theta, u = 1.887637981134261, math.nextafter(1.0, 0.0)
+        assert select_branch(prob_all(np.array([theta]), params), np.array([u])).tolist() == [3]
+        with pytest.raises(ValueError):
+            select_branch(prob_all(theta, params), u)
+
+    def test_rejects_mismatched_shapes(self, params):
+        P = prob_all(np.array([0.2, 1.5]), params)
+        for u in (np.array([0.3]), np.array([[0.3, 0.4]]), np.array([0.3, 0.4, 0.5])):
+            with pytest.raises(ValueError):
+                select_branch(P, u)
+        with pytest.raises(ValueError):
+            select_branch(P[:3], np.array([0.3, 0.4]))
 
     def test_monte_carlo_frequencies_match_probabilities(self, params):
         # three-branch region; frequencies must sit within 3 sigma at N=1e5

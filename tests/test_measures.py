@@ -55,8 +55,8 @@ class TestAtomicMeasure:
 
     def test_rejects_bad_weights(self):
         # a NaN weight must not be dropped as if it were 0
-        for bad in (-0.5, math.nan):
-            with pytest.raises(ValueError):
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
                 AtomicMeasure.from_atoms([0.3, 0.5], [bad, 1.0])
 
     def test_merge_keeps_heaviest_member_exactly(self):

@@ -4,8 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from knudsen_billiard import rng
-from knudsen_billiard.core_map import MapParams, prob_all, select_branch
+from knudsen_billiard import rng, skew
+from knudsen_billiard.core_map import BRANCHES, MapParams, prob_all, select_branch, tau
 from knudsen_billiard.measures import (
     AtomicMeasure,
     atomize_density,
@@ -13,6 +13,7 @@ from knudsen_billiard.measures import (
     uniform_density,
 )
 from knudsen_billiard.skew import (
+    _EMPTY,
     CylinderWord,
     FiberInterval,
     SkewPoint,
@@ -177,6 +178,99 @@ class TestCylinderFibers:
                 if not kid.is_empty:
                     assert kid.lo >= parent.lo - 1e-12
                     assert kid.hi <= parent.hi + 1e-12
+
+
+def depth_first_fibers(x, max_len, params):
+    """The recursive, one-point-at-a-time fibre walk, kept as a reference."""
+
+    def _dead(prefix, depth):
+        # all extensions of a zero-probability branch are empty
+        for ext in range(1, depth + 1):
+            for tail in product(BRANCHES, repeat=ext):
+                yield tail + prefix, _EMPTY, 0.0
+
+    def _walk(cur, chain, off, scale, depth):
+        P = prob_all(cur, params)
+        cum_lo = 0.0
+        for i in BRANCHES:
+            p = float(P[i - 1])
+            word = tuple(reversed(chain + (i,)))
+            if p == 0.0:
+                yield word, _EMPTY, 0.0
+                if depth > 1:
+                    yield from _dead(word, depth - 1)
+            else:
+                lo = off + scale * cum_lo
+                hi = off + scale * (cum_lo + p)
+                yield word, FiberInterval(lo, hi), scale * p
+                if depth > 1:
+                    nxt = min(max(tau(i, cur, params), 0.0), math.pi)
+                    yield from _walk(nxt, chain + (i,), lo, scale * p, depth - 1)
+            cum_lo += p
+
+    yield from _walk(float(x), (), 0.0, 1.0, max_len)
+
+
+def _assert_same_as_depth_first(xs, params):
+    """Every word's (lo, hi, product) agrees bit for bit with the reference walk."""
+
+    def bits(walk, x):
+        return {w: np.array([f.lo, f.hi, m]).tobytes() for w, f, m in walk(x, 6, params)}
+
+    for x in xs:
+        got = bits(enumerate_fibers, float(x))
+        assert len(got) == sum(4**n for n in range(1, 7))
+        assert got == bits(depth_first_fibers, float(x)), f"alpha={params.alpha} x={x}"
+
+
+class TestEnumerateFibers:
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, PI / 6 - 1e-6])
+    def test_matches_depth_first_walk_at_edges(self, alpha):
+        # 0, pi/2, pi, every breakpoint and the float just below each one
+        params = MapParams(alpha)
+        xs = [0.0, PI / 2, PI]
+        for b in params.breakpoints:
+            xs += [b, math.nextafter(b, 0.0)]
+        _assert_same_as_depth_first(xs, params)
+
+    def test_matches_depth_first_walk_on_sweep_points(self, params):
+        # the 100 interior base points of the criterion-5 sweep
+        _assert_same_as_depth_first(np.linspace(0.0, PI, 102)[1:-1], params)
+
+    def test_one_table_and_image_call_per_length(self, params, monkeypatch):
+        calls = {"prob_all": 0, "tau_all": 0, "tau": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(skew, name, counting(name, getattr(skew, name)))
+        assert sum(1 for _ in enumerate_fibers(1.234, 6, params)) == 5460
+        assert calls == {"prob_all": 6, "tau_all": 5, "tau": 0}
+
+    def test_words_come_grouped_by_length(self, params):
+        words = [w for w, _, _ in enumerate_fibers(2.04, 4, params)]
+        assert words[:4] == [(1,), (2,), (3,), (4,)]
+        lengths = [len(w) for w in words]
+        assert lengths == sorted(lengths)
+        assert words[4:20] == list(product(BRANCHES, repeat=2))
+
+    def test_dead_subtree_is_empty(self, params):
+        # branch 2 is dead at 0.2, so every word ending in it is empty
+        fibers = {w: (f, m) for w, f, m in enumerate_fibers(0.2, 4, params)}
+        dead = [w for w in fibers if w[-1] == 2]
+        assert len(dead) == 1 + 4 + 16 + 64
+        for w in dead:
+            assert fibers[w] == (_EMPTY, 0.0)
+            assert fibers[w][0] is _EMPTY
+
+    def test_max_len_below_one_rejected(self, params):
+        with pytest.raises(ValueError):
+            list(enumerate_fibers(0.2, 0, params))
 
 
 class TestSkewInvariance:
