@@ -15,13 +15,12 @@ import numpy as np
 from knudsen_billiard import (
     CylinderWord,
     MapParams,
-    SkewPoint,
     atomize_density,
     cylinder_fiber,
     enumerate_fibers,
     fiber_measure,
     prob_all,
-    skew_step,
+    skew_step_many,
     theorem1_check,
     uniform_density,
 )
@@ -38,13 +37,10 @@ for k in (1, 2, 3, 4):
 
 print()
 print("stepping a few points:")
-for y, x in ((0.40, 0.20), (0.75, PI / 2), (0.10, 2.00)):
-    q = skew_step(SkewPoint(y, x), params)
-    slab = select_branch(prob_all(np.array([x]), params), np.array([y]))[0]
-    print(
-        f"  S({y:.2f}, {x:.4f}) lands in slab {slab}"
-        f" -> ({q.y:.4f}, {q.x:.4f})"
-    )
+ys, xs = np.array([0.40, 0.75, 0.10]), np.array([0.20, PI / 2, 2.00])
+slabs = select_branch(prob_all(xs, params), ys)
+for y, x, slab, y2, x2 in zip(ys, xs, slabs, *skew_step_many(ys, xs, params)):
+    print(f"  S({y:.2f}, {x:.4f}) lands in slab {slab} -> ({y2:.4f}, {x2:.4f})")
 
 print()
 print("cylinder fibres vs probability products at x = 1.0:")

@@ -57,12 +57,10 @@ from .oracle import (
 from .skew import (
     CylinderWord,
     FiberInterval,
-    SkewPoint,
     Theorem1Result,
     cylinder_fiber,
     enumerate_fibers,
     fiber_measure,
-    skew_step,
     skew_step_many,
     theorem1_check,
 )

@@ -120,21 +120,28 @@ def u_alpha(theta, a: float):
     return _match(out, theta)
 
 
+def _region(t: np.ndarray, params: MapParams) -> np.ndarray:
+    """Region index 0..6 of each angle: the number of breakpoints <= theta.
+
+    Equal to searchsorted(breakpoints, t, side="right"), at a fraction of its
+    cost; a breakpoint belongs to the region on its right.
+    """
+    r = np.zeros(t.shape, np.int8)
+    for c in params.breakpoints:
+        r += t >= c
+    return r.astype(np.intp)
+
+
 def prob_all(theta, params: MapParams) -> np.ndarray:
     """All four branch probabilities at theta, stacked along axis 0.
 
-    The region index r is the number of breakpoints <= theta, so a breakpoint
-    belongs to the region on its right, and P[k] = A[k, r] + B[k, r] * cot(theta).
+    With r = _region(theta), P[k] = A[k, r] + B[k, r] * cot(theta).
     Values in [PROB_FLOOR, 0) are clamped to 0; anything more negative raises,
     since the table is non-negative by construction.
     """
     t = np.atleast_1d(_as_theta(theta))
+    r = _region(t, params)
     cuts = params.breakpoints
-    # = searchsorted(cuts, t, side="right"), at a fraction of its cost
-    r = np.zeros(t.shape, np.int8)
-    for c in cuts:
-        r += t >= c
-    r = r.astype(np.intp)
     # regions 0 and 6 have no cot term, so clipping keeps theta = 0, pi off the pole
     cot = np.clip(t, cuts[0], cuts[-1])
     np.tan(cot, out=cot)
@@ -270,5 +277,4 @@ _REGION_NAMES = (
 
 def m2_region(theta, params: MapParams) -> str:
     """Name of the probability-table region containing theta (a = alpha)."""
-    t = float(_as_theta(theta))
-    return _REGION_NAMES[sum(t >= c for c in params.breakpoints)]
+    return _REGION_NAMES[int(_region(_as_theta(float(theta)), params))]

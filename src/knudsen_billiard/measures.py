@@ -52,9 +52,7 @@ def _clusters(t: np.ndarray, w: np.ndarray):
     starts[0] = True
     np.greater(np.diff(t), MERGE_TOL, out=starts[1:])
     gid = np.cumsum(starts) - 1
-    gw = np.zeros(int(gid[-1]) + 1)
-    np.add.at(gw, gid, w)
-    return t, w, gid, gw
+    return t, w, gid, np.bincount(gid, weights=w)
 
 
 @dataclass(frozen=True)
@@ -250,9 +248,7 @@ def binned_histogram(obj, bins: int = DEFAULT_BINS) -> Histogram:
     edges = np.linspace(0.0, math.pi, bins + 1)
     idx = np.searchsorted(edges, t, side="right") - 1
     idx = np.clip(idx, 0, bins - 1)
-    masses = np.zeros(bins)
-    np.add.at(masses, idx, w)
-    return Histogram(bin_count=bins, masses=masses)
+    return Histogram(bin_count=bins, masses=np.bincount(idx, weights=w, minlength=bins))
 
 
 def distance_to_mu(h: Histogram) -> tuple[float, float]:

@@ -240,7 +240,7 @@ def _kernel_counts(theta_in: float, samples: int, seed: int, geom: CellGeometry)
         dev = np.abs(th[:, None] - images[None, :])
         best = np.argmin(dev, axis=1)
         good = dev[np.arange(th.size), best] < MATCH_TOL
-        np.add.at(counts, best[good], 1)
+        counts += np.bincount(best[good], minlength=4)
         unclassified += int(np.count_nonzero(~good))
     return counts, unclassified
 
@@ -317,9 +317,12 @@ def validate_m1_m2(
     stream.  A branch with probability exactly 0 or 1 must match exactly; the
     others are scored by the binomial z of the observed frequency.
     """
+    grid = np.asarray(theta_grid, dtype=float)
+    if grid.size == 0 or samples < 1:
+        raise ValueError("need a nonempty grid and at least one sample")
     params = MapParams(geom.alpha)
     points = []
-    for i, th in enumerate(np.asarray(theta_grid, dtype=float)):
+    for i, th in enumerate(grid):
         counts, unclassified = _kernel_counts(th, samples, rng.derive_seed(seed, i), geom)
         freqs = counts / samples
         probs = prob_all(th, params)
@@ -390,7 +393,7 @@ def liouville_pushforward_check(
     for ex, th in _traced_entries(draw, samples, 32, geom):
         ix = np.minimum((ex * bins).astype(int), bins - 1)
         it = np.minimum((th / math.pi * bins).astype(int), bins - 1)
-        np.add.at(counts, (ix, it), 1)
+        counts += np.bincount(ix * bins + it, minlength=bins * bins).reshape(bins, bins)
 
     expected = np.outer(np.full(bins, 1.0 / bins), mu_bin_masses(bins))
     freq = counts / samples

@@ -12,11 +12,12 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env=None):
-    # the CLI runs in a child process, which pytest's `pythonpath` does not reach
+    # the CLI runs in a child process, which pytest's `pythonpath` and
+    # `filterwarnings` do not reach
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "knudsen_billiard", *args],
+        [sys.executable, "-W", "error", "-m", "knudsen_billiard", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -203,6 +204,13 @@ class TestOracleCommand:
         assert res.returncode == 1
         doc = json.loads(res.stdout)
         assert doc["branch_table"]["passed"] is False
+
+    @pytest.mark.parametrize("flag", ["--grid", "--samples"])
+    def test_empty_grid_or_zero_samples_exits_2(self, flag):
+        res = run_cli("oracle", "--alpha", "0.5", flag, "0")
+        assert res.returncode == 2
+        assert "nonempty grid" in res.stderr
+        assert res.stdout == ""
 
 
 class TestSkewCommand:

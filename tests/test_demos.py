@@ -19,6 +19,9 @@ def test_demo_runs(demo):
     # a demo that imports a retired name fails here instead of going stale
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+    # -W error: a warning fails the demo, as pytest's filterwarnings does in-process
+    res = subprocess.run(
+        [sys.executable, "-W", "error", str(demo)], capture_output=True, text=True, env=env
+    )
     assert res.returncode == 0, res.stderr
     assert res.stdout

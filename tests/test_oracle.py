@@ -225,6 +225,12 @@ class TestValidate:
             "theta", "freqs", "probs", "max_abs_dev", "max_z", "unclassified",
         }
 
+    def test_rejects_empty_grid_and_zero_samples(self, geom):
+        with pytest.raises(ValueError):
+            validate_m1_m2(np.array([]), 5_000, 2, geom)
+        with pytest.raises(ValueError):
+            validate_m1_m2(np.array([0.2]), 0, 2, geom)
+
     def test_certain_point_recorded_exactly(self, geom):
         report = validate_m1_m2(np.array([0.2]), 5_000, 2, geom)
         point = report.points[0]

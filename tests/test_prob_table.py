@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from knudsen_billiard.core_map import MapParams, prob_all
+from knudsen_billiard.core_map import _REGION_NAMES, MapParams, m2_region, prob_all
 
 import reference
 
@@ -52,6 +52,9 @@ def test_breakpoints_belong_to_the_region_on_their_right(alpha):
     assert list(below) == [0, 1, 2, 3, 4, 5]
     t = np.linspace(0.0, math.pi, 5001)
     assert np.array_equal(prob_all(t, marked)[0], np.searchsorted(cuts, t, side="right"))
+    # m2_region names the region prob_all reads, breakpoints included
+    for x in np.concatenate([cuts, np.nextafter(np.array(cuts), 0.0), t[::50]]):
+        assert _REGION_NAMES.index(m2_region(x, params)) == prob_all(x, marked)[0]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

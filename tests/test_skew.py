@@ -16,11 +16,9 @@ from knudsen_billiard.skew import (
     _EMPTY,
     CylinderWord,
     FiberInterval,
-    SkewPoint,
     cylinder_fiber,
     enumerate_fibers,
     fiber_measure,
-    skew_step,
     skew_step_many,
     theorem1_check,
 )
@@ -35,12 +33,6 @@ def params():
 
 
 class TestTypes:
-    def test_skew_point_validation(self):
-        with pytest.raises(ValueError):
-            SkewPoint(1.0, 0.5)
-        with pytest.raises(ValueError):
-            SkewPoint(0.5, -0.1)
-
     def test_word_validation(self):
         with pytest.raises(ValueError):
             CylinderWord(())
@@ -67,14 +59,14 @@ class TestLocateAndStep:
         assert _slab([0.51], [PI / 2], params).tolist() == [3]
 
     def test_step_identity_slab(self, params):
-        out = skew_step(SkewPoint(0.4, 0.2), params)
-        assert out.y == pytest.approx(0.4, abs=1e-15)
-        assert out.x == pytest.approx(1.2, abs=1e-15)
+        y, x = skew_step_many(np.array([0.4]), np.array([0.2]), params)
+        assert y[0] == pytest.approx(0.4, abs=1e-15)
+        assert x[0] == pytest.approx(1.2, abs=1e-15)
 
     def test_step_rescales_upper_slab(self, params):
-        out = skew_step(SkewPoint(0.75, PI / 2), params)
-        assert out.y == pytest.approx(0.5, abs=1e-15)
-        assert out.x == pytest.approx(PI / 2 - 1, abs=1e-15)
+        y, x = skew_step_many(np.array([0.75]), np.array([PI / 2]), params)
+        assert y[0] == pytest.approx(0.5, abs=1e-15)
+        assert x[0] == pytest.approx(PI / 2 - 1, abs=1e-15)
 
     def test_slab_partition_tiles_unit_interval(self, params):
         for x in np.linspace(0.0, PI, 200):
@@ -159,10 +151,7 @@ class TestCylinderFibers:
             w = words[int(i)]
             f = cylinder_fiber(x, CylinderWord(w), params)
             m = fiber_measure(x, CylinderWord(w), params)
-            interval, measure = seen[w]
-            assert abs(interval.lo - f.lo) < 1e-12
-            assert abs(interval.hi - f.hi) < 1e-12
-            assert abs(measure - m) < 1e-12
+            assert (f, m) == seen[w]
 
     def test_children_refine_parent(self, params):
         # prepending each branch splits a word's fibre into four tiles
@@ -211,11 +200,29 @@ def depth_first_fibers(x, max_len, params):
     yield from _walk(float(x), (), 0.0, 1.0, max_len)
 
 
+EDGE_ALPHAS = [0.05, 0.3, 0.5, PI / 6 - 1e-6]
+
+# the 100 interior base points of the criterion-5 sweep
+SWEEP_POINTS = np.linspace(0.0, PI, 102)[1:-1]
+
+
+def _edge_points(params):
+    """0, pi/2, pi, every breakpoint and the float just below each one."""
+    xs = [0.0, PI / 2, PI]
+    for b in params.breakpoints:
+        xs += [b, math.nextafter(b, 0.0)]
+    return xs
+
+
+def _bits(f, m):
+    return np.array([f.lo, f.hi, m]).tobytes()
+
+
 def _assert_same_as_depth_first(xs, params):
     """Every word's (lo, hi, product) agrees bit for bit with the reference walk."""
 
     def bits(walk, x):
-        return {w: np.array([f.lo, f.hi, m]).tobytes() for w, f, m in walk(x, 6, params)}
+        return {w: _bits(f, m) for w, f, m in walk(x, 6, params)}
 
     for x in xs:
         got = bits(enumerate_fibers, float(x))
@@ -223,34 +230,44 @@ def _assert_same_as_depth_first(xs, params):
         assert got == bits(depth_first_fibers, float(x)), f"alpha={params.alpha} x={x}"
 
 
+def _assert_single_words_same_as_depth_first(xs, params):
+    """cylinder_fiber and fiber_measure agree bit for bit on every word up to length 4."""
+    for x in xs:
+        for w, f, m in depth_first_fibers(float(x), 4, params):
+            word = CylinderWord(w)
+            got = _bits(cylinder_fiber(x, word, params), fiber_measure(x, word, params))
+            assert got == _bits(f, m), f"alpha={params.alpha} x={x} word={w}"
+
+
+def _count_table_calls(monkeypatch):
+    """Count skew's prob_all and tau_all calls in the returned dict."""
+    calls = {"prob_all": 0, "tau_all": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(skew, name, counting(name, getattr(skew, name)))
+    return calls
+
+
 class TestEnumerateFibers:
-    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, PI / 6 - 1e-6])
+    @pytest.mark.parametrize("alpha", EDGE_ALPHAS)
     def test_matches_depth_first_walk_at_edges(self, alpha):
-        # 0, pi/2, pi, every breakpoint and the float just below each one
         params = MapParams(alpha)
-        xs = [0.0, PI / 2, PI]
-        for b in params.breakpoints:
-            xs += [b, math.nextafter(b, 0.0)]
-        _assert_same_as_depth_first(xs, params)
+        _assert_same_as_depth_first(_edge_points(params), params)
 
     def test_matches_depth_first_walk_on_sweep_points(self, params):
-        # the 100 interior base points of the criterion-5 sweep
-        _assert_same_as_depth_first(np.linspace(0.0, PI, 102)[1:-1], params)
+        _assert_same_as_depth_first(SWEEP_POINTS, params)
 
     def test_one_table_and_image_call_per_length(self, params, monkeypatch):
-        calls = {"prob_all": 0, "tau_all": 0, "tau": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(skew, name, counting(name, getattr(skew, name)))
+        calls = _count_table_calls(monkeypatch)
         assert sum(1 for _ in enumerate_fibers(1.234, 6, params)) == 5460
-        assert calls == {"prob_all": 6, "tau_all": 5, "tau": 0}
+        assert calls == {"prob_all": 6, "tau_all": 5}
 
     def test_words_come_grouped_by_length(self, params):
         words = [w for w, _, _ in enumerate_fibers(2.04, 4, params)]
@@ -271,6 +288,35 @@ class TestEnumerateFibers:
     def test_max_len_below_one_rejected(self, params):
         with pytest.raises(ValueError):
             list(enumerate_fibers(0.2, 0, params))
+
+
+class TestSingleWordFibers:
+    @pytest.mark.parametrize("alpha", EDGE_ALPHAS)
+    def test_matches_depth_first_walk_at_edges(self, alpha):
+        params = MapParams(alpha)
+        _assert_single_words_same_as_depth_first(_edge_points(params), params)
+
+    def test_matches_depth_first_walk_on_sweep_points(self, params):
+        _assert_single_words_same_as_depth_first(SWEEP_POINTS, params)
+
+    def test_live_word_with_zero_length_fibre_is_not_dead(self):
+        # x = alpha is a breakpoint; no branch of word (4, 3, 1) has probability
+        # 0 along its orbit, but its fibre rounds to [1, 1) around a product of
+        # 5.6e-17, so it is a live word, not the empty fibre of a dead one
+        params = MapParams(0.05)
+        w = CylinderWord((4, 3, 1))
+        f = cylinder_fiber(0.05, w, params)
+        assert f is not _EMPTY
+        assert (f.lo, f.hi) == (1.0, 1.0)
+        assert 0.0 < fiber_measure(0.05, w, params) < 1e-16
+
+    def test_one_table_call_per_letter(self, params, monkeypatch):
+        calls = _count_table_calls(monkeypatch)
+        assert fiber_measure(1.234, CylinderWord((1, 3, 2, 1)), params) > 0.0
+        assert calls == {"prob_all": 4, "tau_all": 3}
+        # a word stops at its first dead branch: branch 2 is dead at 0.2
+        assert fiber_measure(0.2, CylinderWord((1, 3, 1, 2)), params) == 0.0
+        assert calls == {"prob_all": 5, "tau_all": 3}
 
 
 class TestSkewInvariance:
