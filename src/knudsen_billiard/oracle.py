@@ -82,10 +82,10 @@ class ReturnRecord:
     branch_matched: int | None
 
 
-def _reflect(vel: np.ndarray, wall_unit: np.ndarray) -> np.ndarray:
-    """Specular reflection of velocity rows across wall direction rows."""
-    dot = np.sum(vel * wall_unit, axis=-1, keepdims=True)
-    return 2.0 * dot * wall_unit - vel
+def _reflect(vx, vy, ux, uy):
+    """Specular reflection of velocity components across wall directions (ux, uy)."""
+    dot = vx * ux + vy * uy
+    return 2.0 * dot * ux - vx, 2.0 * dot * uy - vy
 
 
 def _trace_batch(xs: np.ndarray, thetas: np.ndarray, geom: CellGeometry):
@@ -94,15 +94,22 @@ def _trace_batch(xs: np.ndarray, thetas: np.ndarray, geom: CellGeometry):
     Returns (exit_x, theta_out, bounces, corner) arrays; corner marks
     trajectories abandoned as degenerate (vertex hits and float-lost rays),
     whose other outputs are unspecified.
+
+    The rays live in 1-D coordinate arrays; each bounce makes one pass per
+    wall with that wall's scalar constants and keeps a running minimum of
+    the ray parameter, so no (trajectories x walls) temporaries are built.
     """
     n = xs.size
     seg_a, seg_b = geom.segments()
     seg_d = seg_b - seg_a
     wall_unit = seg_d / np.linalg.norm(seg_d, axis=1, keepdims=True)
-    verts = geom.vertices
+    walls = np.column_stack([seg_a, seg_d]).tolist()  # rows (ax, ay, dx, dy)
+    verts = geom.vertices.tolist()
 
-    pos = np.column_stack([xs, np.zeros(n)])
-    vel = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    px = np.asarray(xs, dtype=float)
+    py = np.zeros(n)
+    vx = np.cos(thetas)
+    vy = np.sin(thetas)
     skip = np.zeros(n, dtype=np.int64)  # entered through the base
     bounces = np.zeros(n, dtype=np.int64)
 
@@ -115,32 +122,34 @@ def _trace_batch(xs: np.ndarray, thetas: np.ndarray, geom: CellGeometry):
     for _ in range(geom.max_bounces + 1):
         if live.size == 0:
             break
-        # ray/segment intersections, all segments at once: solve
-        # pos + t*vel = A + s*(B-A) by 2x2 cross products
-        rel = seg_a[None, :, :] - pos[:, None, :]  # (m, 3, 2)
-        den = vel[:, None, 0] * seg_d[None, :, 1] - vel[:, None, 1] * seg_d[None, :, 0]
-        cross_rd = rel[:, :, 0] * seg_d[None, :, 1] - rel[:, :, 1] * seg_d[None, :, 0]
-        cross_rv = rel[:, :, 0] * vel[:, None, 1] - rel[:, :, 1] * vel[:, None, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = cross_rd / den
-            s = cross_rv / den
-        valid = (
-            (den != 0.0)
-            & (t > T_EPS)
-            & (s >= -S_EPS)
-            & (s <= 1.0 + S_EPS)
-            & (np.arange(3)[None, :] != skip[:, None])
-        )
-        t = np.where(valid, t, np.inf)
-        seg_hit = np.argmin(t, axis=1)
-        t_hit = t[np.arange(t.shape[0]), seg_hit]
-        lost = ~np.isfinite(t_hit)
-
-        hit = pos + t_hit[:, None] * vel
-        near_vertex = (
-            np.linalg.norm(hit[:, None, :] - verts[None, :, :], axis=2) < CORNER_EPS
-        ).any(axis=1)
-        degen = lost | near_vertex
+        # nearest wall ahead: solve pos + t*vel = A + s*(B-A) by 2x2 cross
+        # products, one wall at a time; strict < keeps the first of equal t
+        t_hit = np.full(live.size, np.inf)
+        seg_hit = np.zeros(live.size, dtype=np.int64)
+        for k, (ax, ay, dx, dy) in enumerate(walls):
+            rx = ax - px
+            ry = ay - py
+            den = vx * dy - vy * dx
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (rx * dy - ry * dx) / den
+                s = (rx * vy - ry * vx) / den
+            nearer = (
+                (den != 0.0)
+                & (t > T_EPS)
+                & (s >= -S_EPS)
+                & (s <= 1.0 + S_EPS)
+                & (skip != k)
+                & (t < t_hit)
+            )
+            np.copyto(t_hit, t, where=nearer)
+            np.copyto(seg_hit, k, where=nearer)
+        degen = ~np.isfinite(t_hit)  # lost: no wall ahead to float precision
+        hx = px + t_hit * vx
+        hy = py + t_hit * vy
+        for cx, cy in verts:
+            ox = hx - cx
+            oy = hy - cy
+            degen |= np.sqrt(ox * ox + oy * oy) < CORNER_EPS
         exited = (seg_hit == 0) & ~degen
 
         if np.any(degen):
@@ -148,24 +157,24 @@ def _trace_batch(xs: np.ndarray, thetas: np.ndarray, geom: CellGeometry):
         if np.any(exited):
             rows = np.nonzero(exited)[0]
             gids = live[rows]
-            ex = hit[rows, 0]
+            ex = hx[rows]
             if np.any(ex < -EXIT_X_TOL) or np.any(ex > 1.0 + EXIT_X_TOL):
                 raise AssertionError("exit crossed the base outside [0, 1]")
-            vx, vy = vel[rows, 0], vel[rows, 1]
-            if np.any(vy >= 0.0):
+            evx, evy = vx[rows], vy[rows]
+            if np.any(evy >= 0.0):
                 raise AssertionError("exit with non-downward velocity")
             exit_x[gids] = np.clip(ex, 0.0, 1.0)
-            theta_out[gids] = np.arctan2(-vy, vx)
+            theta_out[gids] = np.arctan2(-evy, evx)
             out_bounces[gids] = bounces[rows]
 
         cont = ~(degen | exited)
         if not np.any(cont):
             break
         rows = np.nonzero(cont)[0]
-        seg_c = seg_hit[rows]
-        vel = _reflect(vel[rows], wall_unit[seg_c])
-        pos = hit[rows]
-        skip = seg_c
+        skip = seg_hit[rows]
+        vx, vy = _reflect(vx[rows], vy[rows], wall_unit[skip, 0], wall_unit[skip, 1])
+        px = hx[rows]
+        py = hy[rows]
         bounces = bounces[rows] + 1
         live = live[rows]
     else:
@@ -237,9 +246,15 @@ def _kernel_counts(theta_in: float, samples: int, seed: int, geom: CellGeometry)
         return xs, np.broadcast_to(float(theta_in), xs.shape)
 
     for _, th in _traced_entries(draw, samples, 64, geom):
-        dev = np.abs(th[:, None] - images[None, :])
-        best = np.argmin(dev, axis=1)
-        good = dev[np.arange(th.size), best] < MATCH_TOL
+        # nearest image by a running minimum; strict < keeps the first of ties
+        best = np.zeros(th.size, dtype=np.int64)
+        best_dev = np.abs(th - images[0])
+        for k in (1, 2, 3):
+            dev = np.abs(th - images[k])
+            nearer = dev < best_dev
+            np.copyto(best_dev, dev, where=nearer)
+            np.copyto(best, k, where=nearer)
+        good = best_dev < MATCH_TOL
         counts += np.bincount(best[good], minlength=4)
         unclassified += int(np.count_nonzero(~good))
     return counts, unclassified

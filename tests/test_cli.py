@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -204,6 +205,18 @@ class TestOracleCommand:
         assert res.returncode == 1
         doc = json.loads(res.stdout)
         assert doc["branch_table"]["passed"] is False
+
+    def test_json_pinned(self):
+        # the whole report, byte for byte: any change in the tracer's exits,
+        # the classification or the Liouville tally moves this digest
+        res = run_cli(
+            "oracle", "--alpha", "0.5", "--grid", "6", "--samples", "20000",
+            "--seed", "3",
+        )
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+            "97ff1bf9c792dccca6ac128405734d946f84a9cc13dba85c6ea9dd679d0b9980"
+        )
 
     @pytest.mark.parametrize("flag", ["--grid", "--samples"])
     def test_empty_grid_or_zero_samples_exits_2(self, flag):

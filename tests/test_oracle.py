@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from knudsen_billiard.oracle import (
     CellGeometry,
     CornerHitError,
     ReturnRecord,
+    TracerStuckError,
     _kernel_counts,
     _reflect,
     _trace_batch,
@@ -51,14 +53,55 @@ class TestReflect:
         gen = np.random.Generator(np.random.Philox(key=3))
         ang_v = gen.uniform(0, 2 * PI, 200)
         ang_w = gen.uniform(0, PI, 200)
-        v = np.column_stack([np.cos(ang_v), np.sin(ang_v)])
-        w = np.column_stack([np.cos(ang_w), np.sin(ang_w)])
-        r = _reflect(v, w)
-        assert np.abs(np.linalg.norm(r, axis=1) - 1.0).max() < 1e-12
+        vx, vy = np.cos(ang_v), np.sin(ang_v)
+        ux, uy = np.cos(ang_w), np.sin(ang_w)
+        rx, ry = _reflect(vx, vy, ux, uy)
+        assert np.abs(np.hypot(rx, ry) - 1.0).max() < 1e-12
         # incident and reflected angles against the wall direction agree
-        cos_in = np.abs(np.sum(v * w, axis=1))
-        cos_out = np.abs(np.sum(r * w, axis=1))
+        cos_in = np.abs(vx * ux + vy * uy)
+        cos_out = np.abs(rx * ux + ry * uy)
         assert np.abs(cos_in - cos_out).max() < 1e-12
+
+
+class _NoBounceCell(CellGeometry):
+    """The real cell with a bounce budget of 0: any wall hit exhausts it."""
+
+    @property
+    def max_bounces(self) -> int:
+        return 0
+
+
+class TestTracerOutput:
+    # SHA-256 prefixes of the tracer's output on 65536 random entries:
+    # exit x, exit angle and bounce count of the non-corner trajectories,
+    # then the corner flags, each as float64 bytes
+    GOLDEN = {
+        0.05: "142beed8df2d89a3",
+        0.3: "2d0dfda0e0d4e972",
+        0.5: "74fecdb044d1365b",
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(GOLDEN))
+    def test_bit_identical_to_golden(self, alpha):
+        xs = rng.uniforms(11, 0, 1 << 16)
+        ths = PI * rng.uniforms(11, 1, 1 << 16)
+        keep = (xs > 0) & (ths > 1e-12) & (ths < PI - 1e-12)
+        assert np.count_nonzero(keep) == 1 << 16
+        ex, th, nb, c = _trace_batch(xs[keep], ths[keep], CellGeometry(alpha))
+        assert np.count_nonzero(c) == 0
+        digest = hashlib.sha256()
+        for arr in (ex[~c], th[~c], nb[~c], c):
+            digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        assert digest.hexdigest()[:16] == self.GOLDEN[alpha]
+
+    def test_bounce_cap_raises(self):
+        # x = 0.37, theta = 0.2 must bounce once off the right wall
+        geom = _NoBounceCell(ALPHA)
+        assert first_return(0.37, 0.2, CellGeometry(ALPHA)).bounce_count == 1
+        with pytest.raises(TracerStuckError):
+            _trace_batch(np.array([0.37]), np.array([0.2]), geom)
+        with pytest.raises(TracerStuckError):
+            first_return(0.37, 0.2, geom)
 
 
 class TestFirstReturn:
