@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-atoms",
         type=int,
         default=10_000_000,
-        help="abort exact evolution beyond this support size (exit 3)",
+        help="abort exact evolution when one step's support could exceed this "
+        "(exit 3); it does not bound the memory of the whole run",
     )
     pe.set_defaults(func=cmd_evolve)
 

@@ -43,16 +43,18 @@ def in_interval(theta, lo: float, hi: float):
 def _clusters(t: np.ndarray, w: np.ndarray):
     """Sort atoms by position and group each with a left neighbour within MERGE_TOL.
 
-    Returns (t, w) sorted stably by t, the group id of each atom, and the
-    summed weight of each group.
+    Returns (t, w) sorted stably by t, the group id of each atom, the index
+    of each group's first atom, and the summed weight of each group.
     """
     order = np.argsort(t, kind="stable")
     t, w = t[order], w[order]
+    del order
     starts = np.empty(t.size, dtype=bool)
     starts[0] = True
     np.greater(np.diff(t), MERGE_TOL, out=starts[1:])
-    gid = np.cumsum(starts) - 1
-    return t, w, gid, np.bincount(gid, weights=w)
+    gid = np.cumsum(starts)
+    gid -= 1
+    return t, w, gid, np.flatnonzero(starts), np.bincount(gid, weights=w)
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,9 @@ class AtomicMeasure:
 
     thetas are sorted strictly increasing, weights are positive and sum to 1.
     Construct through from_atoms(), which sorts, merges near-duplicates and
-    absorbs float drift in the total mass.
+    absorbs float drift in the total mass.  A merged atom sits at its
+    heaviest member's position (the last in sorted order on equal weights),
+    at the cost of one stable sort and linear passes.
     """
 
     thetas: np.ndarray
@@ -69,6 +73,15 @@ class AtomicMeasure:
 
     @classmethod
     def from_atoms(cls, thetas, weights) -> "AtomicMeasure":
+        """Measure with the given atoms, after dropping zero weights and merging.
+
+        Atoms are sorted stably by position, and each joins its left
+        neighbour's cluster when within MERGE_TOL of it.  A cluster keeps the
+        summed weight of its members and the position of its heaviest member;
+        among members of equal top weight, the last in sorted order (the
+        largest position, or the later input of exact duplicates) wins.  The
+        cost is one stable sort, then linear passes over the atoms.
+        """
         t = np.asarray(thetas, dtype=float).ravel()
         w = np.asarray(weights, dtype=float).ravel()
         if t.size == 0 or t.size != w.size:
@@ -78,14 +91,20 @@ class AtomicMeasure:
         keep = w > 0.0
         if not keep.any():
             raise ValueError("measure has no mass")
-        # no name holds the filtered copies, so the sort in _clusters frees them
-        t, w, gid, gw = _clusters(np.clip(_as_theta(t), 0.0, math.pi)[keep], w[keep])
+        if keep.all():
+            keep = np.s_[:]  # a view: no copies when nothing is dropped
+        # no name holds the clipped or filtered copies, so the sort in
+        # _clusters frees them
+        t, w, gid, heads, gw = _clusters(
+            np.clip(_as_theta(t), 0.0, math.pi)[keep], w[keep]
+        )
         # representative of each cluster: its heaviest member, never an
         # invented average, so merged values stay on the exact orbit lattice
-        # and agree bit-for-bit with sampled trajectories
-        by_weight = np.lexsort((w, gid))
-        last = np.searchsorted(gid[by_weight], np.arange(gw.size), side="right") - 1
-        gt = t[by_weight[last]]
+        # and agree bit-for-bit with sampled trajectories; of the members at
+        # the cluster's top weight, the last in sorted order is kept
+        at_top = np.flatnonzero(w == np.maximum.reduceat(w, heads)[gid])
+        g = gid[at_top]
+        gt = t[at_top[np.append(g[1:] != g[:-1], True)]]
 
         total = gw.sum()
         if abs(total - 1.0) > MASS_TOL:
@@ -139,6 +158,8 @@ def evolve(
     """Measures [nu_0, ..., nu_n] under repeated kernel steps.
 
     Refuses (AtomCapError) if a step could push the atom count past max_atoms.
+    The cap bounds the support of one step, not the memory of the returned
+    list, which holds every measure of the run.
     """
     if n < 0:
         raise ValueError("step count must be >= 0")

@@ -2,8 +2,8 @@
 
 Nothing here reuses the code paths under test beyond the elementary branch
 probabilities and maps themselves: invariance integrals go through piecewise
-Gauss-Legendre quadrature, and support structure comes from exact symbolic
-lattice enumeration.
+Gauss-Legendre quadrature, support structure comes from exact symbolic
+lattice enumeration, and the atom merge is the earlier two-sort rule.
 """
 
 import math
@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from knudsen_billiard.core_map import MapParams, prob_all, tau_all
-from knudsen_billiard.measures import in_interval
+from knudsen_billiard.measures import MERGE_TOL, in_interval
 
 
 def kernel_mass_under_mu(lo: float, hi: float, params: MapParams, nodes: int = 64) -> float:
@@ -103,3 +103,26 @@ def paper_table(theta: float, alpha: float) -> tuple[float, float, float, float]
     if t < pi - a:
         return (0.0, u(a, 1), u(a, -1), 0.0)
     return (0.0, 0.0, 1.0, 0.0)
+
+
+def merge_atoms_by_lexsort(thetas, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Atom merge by a second sort: each cluster's representative via lexsort.
+
+    Drops zero weights, clips positions to [0, pi], sorts stably by position
+    and chains atoms within MERGE_TOL of their left neighbour into clusters.
+    A lexsort by (cluster, weight) puts each cluster's heaviest member last,
+    the later one in position order on equal weights, and searchsorted picks
+    it.  Returns the representatives' positions and the normalised cluster
+    weights.
+    """
+    t = np.asarray(thetas, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    keep = w > 0.0
+    t, w = np.clip(t, 0.0, math.pi)[keep], w[keep]
+    order = np.argsort(t, kind="stable")
+    t, w = t[order], w[order]
+    gid = np.concatenate([[0], np.cumsum(np.diff(t) > MERGE_TOL)])
+    gw = np.bincount(gid, weights=w)
+    by_weight = np.lexsort((w, gid))
+    last = np.searchsorted(gid[by_weight], np.arange(gw.size), side="right") - 1
+    return t[by_weight[last]], gw / gw.sum()

@@ -73,6 +73,18 @@ class TestEvolveCommand:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_exact_stdout_pinned(self):
+        # the whole report, byte for byte: any change in the exact merge that
+        # moves a binned mass past its 17th digit moves this digest
+        res = run_cli(
+            "evolve", "--alpha", "0.5", "--steps", "60", "--mode", "exact",
+            "--initial", "uniform",
+        )
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+            "f6c9d612151b6817f793070a5d57297a5a21bffe3ba5d21e24c83f9ba452dde0"
+        )
+
     def test_checkpoint_thinning(self):
         res = run_cli(
             "evolve", "--alpha", "0.5", "--steps", "60", "--mode", "exact",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -64,6 +65,18 @@ class TestAtomicMeasure:
         assert nu.thetas.tolist() == [1.0 + 5e-13]
         assert nu.weights.tolist() == [1.0]
 
+    def test_merge_tie_keeps_larger_theta(self):
+        nu = AtomicMeasure.from_atoms([1.0 + 5e-13, 1.0], [0.5, 0.5])
+        assert nu.thetas.tolist() == [1.0 + 5e-13]
+        assert nu.weights.tolist() == [1.0]
+
+    def test_merge_chain_keeps_heaviest_middle_member(self):
+        # each atom is within MERGE_TOL of its left neighbour, the ends are not
+        t = [1.0, 1.0 + 6e-13, 1.0 + 1.2e-12]
+        nu = AtomicMeasure.from_atoms(t, [0.25, 0.5, 0.25])
+        assert nu.thetas.tolist() == [t[1]]
+        assert nu.weights.tolist() == [1.0]
+
     def test_interval_mass_convention(self):
         nu = AtomicMeasure.from_atoms([0.5, 1.0, PI], [0.25, 0.25, 0.5])
         assert nu.measure_of(0.5, 1.0) == 0.25  # half-open: 1.0 not included
@@ -124,6 +137,70 @@ class TestKernelStep:
         nu = atomize_density(two_bump_density, bins=45)
         for m in evolve(nu, 30, params):
             assert m.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def _measure_digest(*measures) -> str:
+    digest = hashlib.sha256()
+    for nu in measures:
+        for arr in (nu.thetas, nu.weights):
+            digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestExactOutput:
+    # SHA-256 prefixes of the float64 bytes of thetas, then weights, after 200
+    # exact steps at alpha 0.5; any ulp change in the merge moves them
+    @pytest.fixture(scope="class")
+    def uniform_run(self):
+        return evolve(atomize_density(uniform_density, 45), 200, MapParams(ALPHA))
+
+    def test_uniform_start_final_measure(self, uniform_run):
+        assert len(uniform_run[-1]) == 13207
+        assert _measure_digest(uniform_run[-1]) == "616aa0f297ff93ee"
+
+    def test_uniform_start_cesaro(self, uniform_run):
+        avg = cesaro(uniform_run[1:])
+        assert len(avg) == 26385
+        assert _measure_digest(avg) == "f83885713dbefb02"
+
+    def test_point_start_final_measure_and_cesaro(self):
+        nus = evolve(AtomicMeasure.point(0.2), 200, MapParams(ALPHA))
+        assert _measure_digest(nus[-1]) == "e39fc7b5b3852e21"
+        assert _measure_digest(cesaro(nus[1:])) == "c969366cf5aa10b3"
+
+
+# clusters sit on a 1e-3 grid; members chain by steps around MERGE_TOL (0 for
+# exact duplicates, 2e-12 to split a chain); weights repeat to force ties
+_member = st.tuples(
+    st.sampled_from([0.0, 4e-13, 9e-13, 1e-12, 2e-12]),
+    st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]),
+)
+_cluster = st.tuples(st.integers(0, 3100), st.lists(_member, min_size=1, max_size=5))
+
+
+@given(
+    clusters=st.lists(_cluster, min_size=1, max_size=12),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_merge_matches_lexsort_reference(clusters, data):
+    thetas, weights = [], []
+    for base, members in clusters:
+        theta = base * 1e-3
+        for step, weight in members:
+            theta += step
+            thetas.append(theta)
+            weights.append(weight)
+    w = np.asarray(weights)
+    if not w.any():
+        w[0] = 1.0
+    w = w / w.sum()
+    perm = data.draw(st.permutations(range(w.size)))
+    t, w = np.asarray(thetas)[perm], w[perm]
+    nu = AtomicMeasure.from_atoms(t, w)
+    ref_t, ref_w = reference.merge_atoms_by_lexsort(t, w)
+    assert nu.thetas.tobytes() == ref_t.tobytes()
+    assert nu.weights.tobytes() == ref_w.tobytes()
 
 
 class TestEvolve:
