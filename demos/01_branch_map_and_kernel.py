@@ -19,7 +19,6 @@ from knudsen_billiard import (
     kernel_row,
     m2_region,
     prob_all,
-    reflect_sym,
     rotation_beta,
     tau,
 )
@@ -50,7 +49,7 @@ theta = 1.0
 for k in BRANCHES:
     # compare raw affine images: branch images may leave [0, pi] where the
     # corresponding probability is zero
-    lhs = PI - tau(k, reflect_sym(theta), params)
+    lhs = PI - tau(k, PI - theta, params)
     rhs = tau(conjugate_index(k), theta, params)
     print(f"  phi(tau{k}(phi({theta}))) = {lhs:.12f}   tau{conjugate_index(k)}({theta}) = {rhs:.12f}")
 

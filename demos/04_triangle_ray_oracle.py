@@ -13,11 +13,10 @@ from knudsen_billiard import (
     CellGeometry,
     CornerHitError,
     MapParams,
-    empirical_kernel,
     first_return,
     liouville_pushforward_check,
-    prob_all,
     tau_all,
+    validate_m1_m2,
 )
 
 PI = math.pi
@@ -45,18 +44,18 @@ except CornerHitError as exc:
 
 print()
 print("traced branch frequencies vs the probability table (100000 entries each):")
-for theta in (0.2, 1.0, 2.0, 2.5):
-    freq = empirical_kernel(theta, 100_000, seed=0, geom=geom)
-    probs = prob_all(theta, params)
-    images = tau_all(theta, params)
-    print(f"  theta = {theta}:")
+table = validate_m1_m2([0.2, 1.0, 2.0, 2.5], 100_000, seed=0, geom=geom)
+for p in table.points:
+    images = tau_all(p.theta, params)
+    print(f"  theta = {p.theta}:")
     for k in (1, 2, 3, 4):
-        if probs[k - 1] == 0 and k not in freq:
+        if p.probs[k - 1] == 0 and p.freqs[k - 1] == 0:
             continue
         print(
-            f"    branch {k} -> {images[k - 1]:8.4f}   traced {freq.get(k, 0.0):8.5f}"
-            f"   table {probs[k - 1]:8.5f}"
+            f"    branch {k} -> {images[k - 1]:8.4f}   traced {p.freqs[k - 1]:8.5f}"
+            f"   table {p.probs[k - 1]:8.5f}"
         )
+print(f"  max z = {table.max_z:.2f}, unclassified exits = {table.unclassified_total}")
 
 print()
 print("the first-return map preserves uniform-position x sine-law-angle measure:")

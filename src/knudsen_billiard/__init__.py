@@ -17,11 +17,9 @@ from .core_map import (
     kernel_row,
     m2_region,
     prob_all,
-    reflect_sym,
     rotation_beta,
     tau,
     tau_all,
-    u_alpha,
 )
 from .measures import (
     AtomCapError,
@@ -37,18 +35,15 @@ from .measures import (
     kernel_step,
     mu_bin_masses,
     mu_cdf,
-    sine_density,
     tv_atomic,
     two_bump_density,
     uniform_density,
 )
 from .oracle import (
-    BranchClosureError,
     CellGeometry,
     CornerHitError,
     ReturnRecord,
     TracerStuckError,
-    empirical_kernel,
     first_return,
     liouville_pushforward_check,
     validate_m1_m2,

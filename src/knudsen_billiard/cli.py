@@ -18,12 +18,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core_map import MapParams, kernel_row, m2_region
 from .measures import (
+    MAX_ATOMS,
     AtomCapError,
     AtomicMeasure,
     ParticleEnsemble,
@@ -31,7 +32,7 @@ from .measures import (
     binned_histogram,
     distance_to_mu,
     ensemble_step,
-    evolve,
+    kernel_step,
     uniform_density,
 )
 from .oracle import (
@@ -50,20 +51,6 @@ EXIT_RESOURCE = 3
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of an evolve run."""
-
-    alpha: float
-    steps: int
-    particles: int
-    bins: int
-    seed: int
-    initial: str
-    mode: str
-    fmt: str
 
 
 def _fmt(x: float) -> str:
@@ -119,17 +106,16 @@ def _load_initial_file(path: str, bins: int) -> AtomicMeasure:
     )
 
 
-def _initial_measure(config: RunConfig) -> AtomicMeasure:
-    spec = config.initial
+def _initial_measure(spec: str, bins: int) -> AtomicMeasure:
     if spec == "uniform":
-        return atomize_density(uniform_density, bins=config.bins)
+        return atomize_density(uniform_density, bins=bins)
     if spec.startswith("atom:"):
         theta = float(spec.split(":", 1)[1])
         if not 0.0 <= theta <= math.pi:
             raise UsageError("atom position must lie in [0, pi]")
         return AtomicMeasure.point(theta)
     if spec.startswith("file:"):
-        return _load_initial_file(spec.split(":", 1)[1], config.bins)
+        return _load_initial_file(spec.split(":", 1)[1], bins)
     raise UsageError(f"unknown initial distribution {spec!r}")
 
 
@@ -143,62 +129,49 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _evolve_checkpoints(config: RunConfig, max_atoms: int):
-    """List of (step, Histogram) at each checkpoint of the configured run."""
-    params = MapParams(config.alpha)
-    nu0 = _initial_measure(config)
-    cps = checkpoint_steps(config.steps)
-    out = []
-    if config.mode == "exact":
-        nus = evolve(nu0, config.steps, params, max_atoms=max_atoms)
-        for s in cps:
-            out.append((s, binned_histogram(nus[s], config.bins)))
+def _evolve_checkpoints(args, params: MapParams, seed: int):
+    """Yield (step, Histogram) at each checkpoint of the run, holding one state.
+
+    Exact mode steps the measure with kernel_step, ensemble mode the
+    particles with ensemble_step; either state is binned at each checkpoint
+    and then replaced by the next.
+    """
+    state = _initial_measure(args.initial, args.bins)
+    if args.mode == "exact":
+        step = partial(kernel_step, params=params, max_atoms=args.max_atoms)
     else:
-        ens = ParticleEnsemble.from_measure(nu0, config.particles, config.seed)
-        want = set(cps)
-        if 0 in want:
-            out.append((0, binned_histogram(ens, config.bins)))
-        for s in range(1, config.steps + 1):
-            ens = ensemble_step(ens, params)
-            if s in want:
-                out.append((s, binned_histogram(ens, config.bins)))
-    return out
+        state = ParticleEnsemble.from_measure(state, args.particles, seed)
+        step = partial(ensemble_step, params=params)
+    want = set(checkpoint_steps(args.steps))
+    for s in range(args.steps + 1):
+        if s:
+            state = step(state)
+        if s in want:
+            yield s, binned_histogram(state, args.bins)
 
 
 def cmd_evolve(args) -> int:
-    config = RunConfig(
-        alpha=args.alpha,
-        steps=args.steps,
-        particles=args.particles,
-        bins=args.bins,
-        seed=_default_seed(args.seed),
-        initial=args.initial,
-        mode=args.mode,
-        fmt=args.format,
-    )
-    if config.steps < 0:
+    if args.steps < 0:
         raise UsageError("steps must be >= 0")
-    if config.particles < 1 or config.bins < 1:
+    if args.particles < 1 or args.bins < 1:
         raise UsageError("particles and bins must be >= 1")
-    if config.mode not in ("exact", "ensemble"):
-        raise UsageError("mode must be exact or ensemble")
-    if config.fmt == "csv" and not args.output:
+    if args.format == "csv" and not args.output:
         raise UsageError("--format csv needs --output BASE for the two tables")
-    MapParams(config.alpha)  # validates alpha
+    params = MapParams(args.alpha)
+    seed = _default_seed(args.seed)
 
-    checkpoints = _evolve_checkpoints(config, args.max_atoms)
-    edges = np.linspace(0.0, math.pi, config.bins + 1)
+    checkpoints = _evolve_checkpoints(args, params, seed)
 
-    if config.fmt == "json":
+    if args.format == "json":
         doc = {
             "config": {
-                "alpha": config.alpha,
-                "steps": config.steps,
-                "particles": config.particles,
-                "bins": config.bins,
-                "seed": config.seed,
-                "initial": config.initial,
-                "mode": config.mode,
+                "alpha": args.alpha,
+                "steps": args.steps,
+                "particles": args.particles,
+                "bins": args.bins,
+                "seed": seed,
+                "initial": args.initial,
+                "mode": args.mode,
             },
             "checkpoints": [],
         }
@@ -215,10 +188,11 @@ def cmd_evolve(args) -> int:
             print(text)
         return EXIT_OK
 
+    edges = np.linspace(0.0, math.pi, args.bins + 1)
     hist_lines = ["step,bin_index,bin_lo,bin_hi,mass"]
     dist_lines = ["step,tv,ks"]
     for s, h in checkpoints:
-        for j in range(config.bins):
+        for j in range(args.bins):
             hist_lines.append(
                 f"{s},{j},{_fmt(edges[j])},{_fmt(edges[j + 1])},{_fmt(h.masses[j])}"
             )
@@ -291,6 +265,9 @@ def _interval(text: str) -> tuple[float, float]:
         lo, hi = (float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError("interval must be 'lo,hi'") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        # JSON has no NaN or Infinity, so the report could not carry them
+        raise argparse.ArgumentTypeError("interval bounds must be finite")
     return lo, hi
 
 
@@ -324,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument(
         "--max-atoms",
         type=int,
-        default=10_000_000,
+        default=MAX_ATOMS,
         help="abort exact evolution when one step's support could exceed this "
-        "(exit 3); it does not bound the memory of the whole run",
+        "(exit 3); the run holds one measure at a time",
     )
     pe.set_defaults(func=cmd_evolve)
 

@@ -19,8 +19,7 @@ p_k(theta) = A[k, r] + B[k, r] * cot(theta).
 
 This module provides the branch maps, the probability partition, one-row
 transition kernels, one sampling step shared by ensembles and the skew map, and
-the reflection symmetry theta -> pi - theta together with its index
-conjugation.  Everything is a pure function; theta arguments may be scalars
+the branch-index conjugation under the reflection theta -> pi - theta.  Everything is a pure function; theta arguments may be scalars
 or numpy arrays.  The cell angle alpha must lie in (0, pi/6).
 """
 
@@ -84,15 +83,12 @@ def _as_theta(theta, tol: float = 1e-9) -> np.ndarray:
     return t
 
 
-def _match(out: np.ndarray, like) -> float | np.ndarray:
-    return float(out) if np.isscalar(like) or np.ndim(like) == 0 else out
-
-
 def tau(k: int, theta, params: MapParams):
     """Exit-angle image of branch k; may leave [0, pi] where its probability is 0."""
     if k not in BRANCHES:
         raise ValueError(f"branch index must be 1..4, got {k!r}")
-    return _match(tau_all(theta, params)[int(k) - 1], theta)
+    img = tau_all(theta, params)[int(k) - 1]
+    return float(img) if np.isscalar(theta) or np.ndim(theta) == 0 else img
 
 
 def tau_all(theta, params: MapParams) -> np.ndarray:
@@ -105,19 +101,6 @@ def tau_all(theta, params: MapParams) -> np.ndarray:
     T[2] = t - 2 * a
     T[3] = -t + 4 * a
     return T
-
-
-def u_alpha(theta, a: float):
-    """The slope weight u_a(theta) = (1 + tan(a)*cot(theta)) / 2.
-
-    Computed through cot = cos/sin so theta = pi/2 needs no special case.
-    Undefined at theta in {0, pi}.
-    """
-    t = np.asarray(theta, dtype=float)
-    if not np.all((t > 0.0) & (t < math.pi)):
-        raise ValueError("u_alpha requires finite theta strictly inside (0, pi)")
-    out = 0.5 * (1.0 + math.tan(a) * np.cos(t) / np.sin(t))
-    return _match(out, theta)
 
 
 def _region(t: np.ndarray, params: MapParams) -> np.ndarray:
@@ -169,9 +152,6 @@ class KernelRow:
 
     theta: float
     entries: tuple[tuple[int, float, float], ...]
-
-    def weights_sum(self) -> float:
-        return sum(w for _, w, _ in self.entries)
 
 
 def kernel_row(theta, params: MapParams) -> KernelRow:
@@ -240,12 +220,6 @@ def _pick(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
     idx = k * k.size
     idx += np.arange(-k.size, 0)
     return rows.reshape(-1).take(idx)
-
-
-def reflect_sym(theta):
-    """The reflection phi(theta) = pi - theta."""
-    t = _as_theta(theta)
-    return _match(math.pi - t, theta)
 
 
 def conjugate_index(k: int) -> int:

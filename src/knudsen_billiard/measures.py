@@ -24,7 +24,7 @@ MERGE_TOL = 1e-12  # atoms closer than this collapse into one
 MASS_TOL = 1e-9  # total-mass drift beyond this is a hard failure
 
 DEFAULT_BINS = 45
-DEFAULT_PARTICLES = 30000
+MAX_ATOMS = 10_000_000  # default cap on the atoms one exact step may create
 
 
 class AtomCapError(RuntimeError):
@@ -141,34 +141,33 @@ def mu_bin_masses(bins: int) -> np.ndarray:
     return np.diff(mu_cdf(edges))
 
 
-def kernel_step(nu: AtomicMeasure, params: MapParams) -> AtomicMeasure:
-    """One exact push-forward: atom (theta, w) spawns (tau_k(theta), w * p_k(theta))."""
+def kernel_step(
+    nu: AtomicMeasure, params: MapParams, max_atoms: int = MAX_ATOMS
+) -> AtomicMeasure:
+    """One exact push-forward: atom (theta, w) spawns (tau_k(theta), w * p_k(theta)).
+
+    Refuses (AtomCapError) when the step could need more than max_atoms
+    atoms, four per atom of nu, before any of them is built.
+    """
+    if 4 * len(nu) > max_atoms:
+        raise AtomCapError(f"next step could need {4 * len(nu)} atoms (cap {max_atoms})")
     P = prob_all(nu.thetas, params)
     T = tau_all(nu.thetas, params)
     live = P > 0.0
     return AtomicMeasure.from_atoms(T[live], (P * nu.weights[None, :])[live])
 
 
-def evolve(
-    nu: AtomicMeasure,
-    n: int,
-    params: MapParams,
-    max_atoms: int = 10_000_000,
-) -> list[AtomicMeasure]:
-    """Measures [nu_0, ..., nu_n] under repeated kernel steps.
+def evolve(nu: AtomicMeasure, n: int, params: MapParams) -> list[AtomicMeasure]:
+    """Measures [nu_0, ..., nu_n], one kernel_step per step.
 
-    Refuses (AtomCapError) if a step could push the atom count past max_atoms.
-    The cap bounds the support of one step, not the memory of the returned
-    list, which holds every measure of the run.
+    The list holds every measure of the run, so its memory grows with n; a
+    run that needs only some of them steps with kernel_step and keeps one.
+    Each step refuses (AtomCapError) past kernel_step's default atom cap.
     """
     if n < 0:
         raise ValueError("step count must be >= 0")
     out = [nu]
     for _ in range(n):
-        if 4 * len(out[-1]) > max_atoms:
-            raise AtomCapError(
-                f"next step could need {4 * len(out[-1])} atoms (cap {max_atoms})"
-            )
         out.append(kernel_step(out[-1], params))
     return out
 
@@ -310,11 +309,6 @@ def atomize_density(density, bins: int = DEFAULT_BINS, atoms_per_bin: int = 1) -
 def uniform_density(theta):
     """Flat density on [0, pi]."""
     return np.ones_like(np.asarray(theta, dtype=float))
-
-
-def sine_density(theta):
-    """Density of the invariant sine law, sin(theta) / 2."""
-    return 0.5 * np.sin(np.asarray(theta, dtype=float))
 
 
 def two_bump_density(theta):

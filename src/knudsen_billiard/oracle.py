@@ -41,10 +41,6 @@ class TracerStuckError(RuntimeError):
     """Bounce budget exceeded; unreachable for a correct tracer."""
 
 
-class BranchClosureError(RuntimeError):
-    """Some exit angles matched no branch image: geometry and map disagree."""
-
-
 @dataclass(frozen=True)
 class CellGeometry:
     """Open isosceles triangle with base angles alpha at (0,0) and (1,0)."""
@@ -258,25 +254,6 @@ def _kernel_counts(theta_in: float, samples: int, seed: int, geom: CellGeometry)
         counts += np.bincount(best[good], minlength=4)
         unclassified += int(np.count_nonzero(~good))
     return counts, unclassified
-
-
-def empirical_kernel(
-    theta_in: float, samples: int, seed: int, geom: CellGeometry
-) -> dict[int, float]:
-    """Observed branch frequencies over `samples` uniform entry points.
-
-    Exit angles are classified to the nearest branch image within MATCH_TOL.
-    Raises BranchClosureError when the unclassified fraction exceeds 1e-6:
-    that means the four images do not exhaust this geometry's exits.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    counts, unclassified = _kernel_counts(theta_in, samples, seed, geom)
-    if unclassified > 1e-6 * samples:
-        raise BranchClosureError(
-            f"{unclassified} of {samples} exits matched no branch image"
-        )
-    return {k: float(counts[k - 1]) / samples for k in (1, 2, 3, 4) if counts[k - 1] > 0}
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,11 @@ from knudsen_billiard.core_map import MapParams, prob_all, tau_all
 from knudsen_billiard.measures import MERGE_TOL, in_interval
 
 
+def sine_density(theta):
+    """Density of the invariant sine law, sin(theta) / 2."""
+    return 0.5 * np.sin(np.asarray(theta, dtype=float))
+
+
 def kernel_mass_under_mu(lo: float, hi: float, params: MapParams, nodes: int = 64) -> float:
     """Quadrature of  integral_0^pi K(theta, [lo,hi)) * sin(theta)/2 dtheta.
 

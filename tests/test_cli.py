@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from knudsen_billiard import cli
 
 PI = math.pi
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -132,6 +135,29 @@ class TestEvolveCommand:
         )
         assert res.returncode == 3
         assert "cap" in res.stderr
+        assert res.stdout == ""
+        # from one atom the cap is hit at step 20, after 19 checkpoints were
+        # binned: a partial report is still never printed
+        res = run_cli(
+            "evolve", "--alpha", "0.5", "--steps", "60", "--mode", "exact",
+            "--initial", "atom:0.2", "--max-atoms", "100",
+        )
+        assert res.returncode == 3
+        assert "need 116 atoms (cap 100)" in res.stderr
+        assert res.stdout == ""
+
+    def test_exact_run_holds_one_measure(self, capsys):
+        # 400 exact steps from uniform-45 peak near 86 MB when every measure
+        # of the run is kept, and near 6 MB when only the current one is
+        tracemalloc.start()
+        try:
+            code = cli.main(["evolve", "--alpha", "0.5", "--steps", "400", "--mode", "exact"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["checkpoints"][-1]["step"] == 400
+        assert peak < 20e6
 
     def test_file_initial_atoms(self, tmp_path):
         f = tmp_path / "init.csv"
@@ -274,3 +300,14 @@ class TestSkewCommand:
         doc = json.loads(res.stdout)
         rec = doc["kernel_vs_skew"]
         assert abs(rec["exact"] - rec["estimate"]) <= 4 * rec["stderr"]
+
+    @pytest.mark.parametrize("interval", ["nan,1", "0,inf"])
+    def test_non_finite_interval_exits_2(self, interval):
+        # JSON has no NaN or Infinity, so such a bound never reaches the report
+        res = run_cli(
+            "skew", "--alpha", "0.5", "--word", "1,3", "--x", "1.0",
+            "--interval", interval,
+        )
+        assert res.returncode == 2
+        assert "finite" in res.stderr
+        assert res.stdout == ""

@@ -12,14 +12,14 @@ from knudsen_billiard.core_map import (
     kernel_row,
     m2_region,
     prob_all,
-    reflect_sym,
     rotation_beta,
     select_branch,
     tau,
     tau_all,
-    u_alpha,
 )
 from knudsen_billiard import rng
+
+import reference
 
 ALPHA = 0.5
 PI = math.pi
@@ -78,23 +78,33 @@ class TestTau:
 
 
 class TestUAlpha:
-    def test_half_pi_is_regular(self):
-        assert u_alpha(PI / 2, 0.5) == 0.5
+    # the slope weight u_a(theta) = (1 + tan(a)*cot(theta)) / 2, read from the
+    # table and the paper's formulas where p_1 = u_a(theta): on [a, 2a), where
+    # p_4 = u_a(-theta), and on [3a, pi-3a), where p_3 = u_a(-theta)
+    def test_half_pi_is_regular(self, params):
+        assert prob_all(PI / 2, params)[0] == 0.5
+        assert reference.paper_table(PI / 2, ALPHA)[0] == 0.5
 
-    def test_matches_extended_precision_value(self):
+    def test_matches_extended_precision_value(self, params):
         # 0.5*(1 + tan(0.5)/tan(0.6)) evaluated at 50 decimal digits
-        assert u_alpha(0.6, 0.5) == pytest.approx(0.8992640676416723, abs=1e-16)
+        want = pytest.approx(0.8992640676416723, abs=1e-16)
+        assert prob_all(0.6, params)[0] == want
+        assert reference.paper_table(0.6, ALPHA)[0] == want
 
-    def test_mirror_argument_flips_slope_term(self):
+    def test_mirror_argument_flips_slope_term(self, params):
         theta = 0.8
-        up = u_alpha(theta, 0.5)
-        um = 0.5 * (1.0 - math.tan(0.5) * math.cos(theta) / math.sin(theta))
-        assert up + um == pytest.approx(1.0, abs=1e-15)
+        P = prob_all(theta, params)
+        up = 0.5 * (1.0 + math.tan(ALPHA) * math.cos(theta) / math.sin(theta))
+        assert P[0] == pytest.approx(up, abs=1e-15)
+        assert P[0] + P[3] == pytest.approx(1.0, abs=1e-15)
 
-    def test_rejects_endpoint_angles(self):
-        for bad in (0.0, PI, math.nan, math.inf, np.array([0.6, math.nan])):
-            with pytest.raises(ValueError):
-                u_alpha(bad, 0.5)
+    def test_poles_are_regular(self, params):
+        # u_a is undefined at theta in {0, pi}, but the regions holding the
+        # poles carry no cot term, so the table is certain there
+        assert prob_all(0.0, params).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert prob_all(PI, params).tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert reference.paper_table(0.0, ALPHA) == (1.0, 0.0, 0.0, 0.0)
+        assert reference.paper_table(PI, ALPHA) == (0.0, 0.0, 1.0, 0.0)
 
 
 class TestProb:
@@ -157,11 +167,6 @@ class TestProb:
 
 
 class TestSymmetry:
-    def test_reflection_examples(self):
-        assert reflect_sym(0.0) == PI
-        assert reflect_sym(PI / 2) == PI / 2
-        assert reflect_sym(reflect_sym(1.1)) == pytest.approx(1.1, abs=1e-15)
-
     def test_conjugate_table(self):
         assert [conjugate_index(k) for k in BRANCHES] == [3, 4, 1, 2]
         for k in BRANCHES:
@@ -172,7 +177,7 @@ class TestSymmetry:
     def test_prob_conjugation_on_grid(self, params):
         t = grid_away_from_breakpoints(params)
         P = prob_all(t, params)
-        P_ref = prob_all(reflect_sym(t), params)
+        P_ref = prob_all(PI - t, params)
         for k in BRANCHES:
             assert np.abs(P_ref[k - 1] - P[conjugate_index(k) - 1]).max() < 1e-12
 
@@ -214,9 +219,8 @@ class TestKernelRow:
 
     def test_rows_sum_to_one(self, params):
         for theta in np.linspace(0.0, PI, 500):
-            assert kernel_row(float(theta), params).weights_sum() == pytest.approx(
-                1.0, abs=1e-12
-            )
+            row = kernel_row(float(theta), params)
+            assert sum(w for _, w, _ in row.entries) == pytest.approx(1.0, abs=1e-12)
 
 
 def _draw(thetas, us, params):

@@ -20,13 +20,13 @@ from knudsen_billiard.measures import (
     kernel_step,
     mu_bin_masses,
     mu_cdf,
-    sine_density,
     tv_atomic,
     two_bump_density,
     uniform_density,
 )
 
 import reference
+from reference import sine_density
 
 ALPHA = 0.5
 PI = math.pi
@@ -133,6 +133,13 @@ class TestKernelStep:
             assert np.abs(nu.thetas - ref).max() < 1e-9
             assert len(nu) <= 8 * n + 4
 
+    def test_atom_cap(self, params):
+        # four candidate atoms per atom: 45 atoms need a cap of at least 180
+        nu = atomize_density(uniform_density, bins=45)
+        with pytest.raises(AtomCapError, match=r"need 180 atoms \(cap 100\)"):
+            kernel_step(nu, params, max_atoms=100)
+        assert len(kernel_step(nu, params, max_atoms=180)) > 0
+
     def test_mass_conserved_along_evolution(self, params):
         nu = atomize_density(two_bump_density, bins=45)
         for m in evolve(nu, 30, params):
@@ -208,11 +215,6 @@ class TestEvolve:
         nu = AtomicMeasure.point(0.3)
         out = evolve(nu, 0, params)
         assert len(out) == 1 and out[0] is nu
-
-    def test_atom_cap(self, params):
-        nu = atomize_density(uniform_density, bins=45)
-        with pytest.raises(AtomCapError):
-            evolve(nu, 3, params, max_atoms=100)
 
     def test_negative_steps_rejected(self, params):
         with pytest.raises(ValueError):

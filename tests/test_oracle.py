@@ -14,7 +14,6 @@ from knudsen_billiard.oracle import (
     _reflect,
     _trace_batch,
     _traced_entries,
-    empirical_kernel,
     first_return,
     liouville_pushforward_check,
     validate_m1_m2,
@@ -182,30 +181,35 @@ class TestFirstReturn:
 
 
 class TestEmpiricalKernel:
+    # the traced branch tallies behind validate_m1_m2's frequencies
     def test_certain_region(self, geom):
-        assert empirical_kernel(0.2, 20_000, 5, geom) == {1: 1.0}
+        counts, unclassified = _kernel_counts(0.2, 20_000, 5, geom)
+        assert counts.tolist() == [20_000, 0, 0, 0]
+        assert unclassified == 0
 
     def test_half_pi_split(self, geom):
-        freq = empirical_kernel(PI / 2, 100_000, 5, geom)
-        sigma = math.sqrt(0.25 / 100_000)
-        assert set(freq) == {1, 3}
-        assert abs(freq[1] - 0.5) < 3 * sigma
-        assert abs(freq[3] - 0.5) < 3 * sigma
+        n = 100_000
+        counts, unclassified = _kernel_counts(PI / 2, n, 5, geom)
+        sigma = math.sqrt(0.25 / n)
+        assert counts[1] == counts[3] == unclassified == 0
+        assert abs(counts[0] / n - 0.5) < 3 * sigma
+        assert abs(counts[2] / n - 0.5) < 3 * sigma
 
     @pytest.mark.parametrize("theta", [2.0, 2.2])
     def test_mixed_regions_match_table(self, geom, params, theta):
         n = 200_000
-        freq = empirical_kernel(theta, n, 5, geom)
+        counts, unclassified = _kernel_counts(theta, n, 5, geom)
+        assert unclassified == 0
         P = prob_all(theta, params)
         for k in (1, 2, 3, 4):
             p = float(P[k - 1])
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
-            assert abs(freq.get(k, 0.0) - p) < 4 * sigma + 1e-9
+            assert abs(counts[k - 1] / n - p) < 4 * sigma + 1e-9
 
     def test_deterministic(self, geom):
-        a = empirical_kernel(1.1, 30_000, 9, geom)
-        b = empirical_kernel(1.1, 30_000, 9, geom)
-        assert a == b
+        a = _kernel_counts(1.1, 30_000, 9, geom)
+        b = _kernel_counts(1.1, 30_000, 9, geom)
+        assert a[0].tolist() == b[0].tolist() and a[1] == b[1]
 
 
 class TestRedrawLoop:

@@ -3,7 +3,7 @@
 prob_all holds the table as a region index r (the number of breakpoints at
 or below theta) and two 4x7 arrays, P[k] = A[k, r] + B[k, r] * cot(theta).
 These tests compare it with reference.paper_table, which is written from the
-u_alpha formulas region by region and shares no code with it.
+u_a formulas region by region and shares no code with it.
 """
 
 import math
