@@ -180,7 +180,7 @@ def cmd_evolve(args) -> int:
             doc["checkpoints"].append(
                 {"step": s, "masses": h.masses.tolist(), "tv": tv, "ks": ks}
             )
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
         if args.output:
             with open(args.output + ".json", "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -215,7 +215,7 @@ def cmd_oracle(args) -> int:
         max(args.samples, 10_000), seed + 1, geom, z_limit=args.z_limit
     )
     doc = {"branch_table": vrep.to_dict(), "liouville": lrep.to_dict()}
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     if args.output:
         with open(args.output + ".json", "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -256,19 +256,27 @@ def cmd_skew(args) -> int:
             "stderr": result.stderr,
         },
     }
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False))
     return EXIT_OK
+
+
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(x):
+        # JSON has no NaN or Infinity, so the report could not carry it
+        raise argparse.ArgumentTypeError("must be finite")
+    return x
 
 
 def _interval(text: str) -> tuple[float, float]:
     try:
-        lo, hi = (float(tok) for tok in text.split(","))
+        lo, hi = text.split(",")
     except ValueError as exc:
         raise argparse.ArgumentTypeError("interval must be 'lo,hi'") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        # JSON has no NaN or Infinity, so the report could not carry them
-        raise argparse.ArgumentTypeError("interval bounds must be finite")
-    return lo, hi
+    return _finite(lo), _finite(hi)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--output", default=None)
     po.add_argument(
         "--z-limit",
-        type=float,
+        type=_finite,
         default=4.0,
         help="fail the report when any frequency z-score reaches this",
     )

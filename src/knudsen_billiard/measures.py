@@ -25,6 +25,7 @@ MASS_TOL = 1e-9  # total-mass drift beyond this is a hard failure
 
 DEFAULT_BINS = 45
 MAX_ATOMS = 10_000_000  # default cap on the atoms one exact step may create
+_CESARO_WINDOW = 1 << 18  # atoms cesaro merges at once
 
 
 class AtomCapError(RuntimeError):
@@ -55,6 +56,19 @@ def _clusters(t: np.ndarray, w: np.ndarray):
     gid = np.cumsum(starts)
     gid -= 1
     return t, w, gid, np.flatnonzero(starts), np.bincount(gid, weights=w)
+
+
+def _representatives(t, w, gid, heads, gw):
+    """Position and summed weight of each cluster, from _clusters' output.
+
+    A cluster sits at its heaviest member, never an invented average, so
+    merged values stay on the exact orbit lattice and agree bit-for-bit with
+    sampled trajectories; of the members at the cluster's top weight, the
+    last in sorted order is kept.
+    """
+    at_top = np.flatnonzero(w == np.maximum.reduceat(w, heads)[gid])
+    g = gid[at_top]
+    return t[at_top[np.append(g[1:] != g[:-1], True)]], gw
 
 
 @dataclass(frozen=True)
@@ -93,19 +107,11 @@ class AtomicMeasure:
             raise ValueError("measure has no mass")
         if keep.all():
             keep = np.s_[:]  # a view: no copies when nothing is dropped
-        # no name holds the clipped or filtered copies, so the sort in
-        # _clusters frees them
-        t, w, gid, heads, gw = _clusters(
-            np.clip(_as_theta(t), 0.0, math.pi)[keep], w[keep]
+        # no name holds the clipped or filtered copies, so they are freed
+        # when _clusters returns, before the pick
+        gt, gw = _representatives(
+            *_clusters(np.clip(_as_theta(t), 0.0, math.pi)[keep], w[keep])
         )
-        # representative of each cluster: its heaviest member, never an
-        # invented average, so merged values stay on the exact orbit lattice
-        # and agree bit-for-bit with sampled trajectories; of the members at
-        # the cluster's top weight, the last in sorted order is kept
-        at_top = np.flatnonzero(w == np.maximum.reduceat(w, heads)[gid])
-        g = gid[at_top]
-        gt = t[at_top[np.append(g[1:] != g[:-1], True)]]
-
         total = gw.sum()
         if abs(total - 1.0) > MASS_TOL:
             raise AssertionError(f"total mass drifted to {total}")
@@ -173,12 +179,56 @@ def evolve(nu: AtomicMeasure, n: int, params: MapParams) -> list[AtomicMeasure]:
 
 
 def cesaro(nus: list[AtomicMeasure]) -> AtomicMeasure:
-    """Uniform mixture of the given measures (the running-average distribution)."""
+    """Uniform mixture of the given measures (the running-average distribution).
+
+    The pooled atoms, each weight divided by len(nus), are merged window by
+    window in theta: every measure is already sorted, so each window takes
+    one slice of each, and the last cluster of a window, which may go on in
+    the next, is carried into it.  Beyond its inputs and its output, a call
+    holds the temporaries of one window: at most _CESARO_WINDOW atoms, plus
+    the carried cluster, when there are at most _CESARO_WINDOW // 4
+    measures.  The result is bit-identical to from_atoms on the whole
+    concatenation: the clusters' positions and unnormalised weights go
+    through one from_atoms call, which finds nothing left to merge and
+    normalises as that call would.
+    """
     if not nus:
         raise ValueError("need at least one measure")
-    t = np.concatenate([m.thetas for m in nus])
-    w = np.concatenate([m.weights for m in nus]) / len(nus)
-    return AtomicMeasure.from_atoms(t, w)
+    k = len(nus)
+    # a sample of every stride-th atom of each measure, sorted: a window
+    # spanning `per` samples holds at most stride * (per + 2k) atoms
+    stride = max(1, _CESARO_WINDOW // (4 * k))
+    per = max(1, _CESARO_WINDOW // (2 * stride))
+    cuts = np.sort(np.concatenate([m.thetas[::stride] for m in nus]))[per::per]
+    ends = [np.append(np.searchsorted(m.thetas, cuts), len(m)) for m in nus]
+    starts = [0] * k
+    carry_t = carry_w = np.empty(0)
+    reps, sums, tail = [], [], (carry_t, carry_w)
+    for j in range(cuts.size + 1):
+        stops = [int(e[j]) for e in ends]
+        t = np.concatenate(
+            [carry_t, *(m.thetas[a:b] for m, a, b in zip(nus, starts, stops))]
+        )
+        w = np.concatenate(
+            [carry_w, *(m.weights[a:b] for m, a, b in zip(nus, starts, stops))]
+        )
+        starts = stops
+        w[carry_w.size :] /= k
+        keep = w > 0.0  # a weight that underflowed must not bridge a chain
+        if not keep.all():
+            t, w = t[keep], w[keep]
+        if t.size == carry_t.size:
+            continue  # nothing new: the carried cluster is unchanged
+        t, w, gid, heads, gw = _clusters(t, w)
+        gt, gw = _representatives(t, w, gid, heads, gw)
+        reps.append(gt[:-1])
+        sums.append(gw[:-1])
+        tail = gt[-1:], gw[-1:]
+        carry_t, carry_w = t[heads[-1] :].copy(), w[heads[-1] :].copy()
+        del t, w, gid, heads  # freed before the next window is built
+    reps.append(tail[0])
+    sums.append(tail[1])
+    return AtomicMeasure.from_atoms(np.concatenate(reps), np.concatenate(sums))
 
 
 def tv_atomic(nu: AtomicMeasure, rho: AtomicMeasure) -> float:

@@ -283,7 +283,19 @@ class ValidationReport:
         return sum(p.unclassified for p in self.points)
 
     def to_dict(self) -> dict:
-        return dict(asdict(self), max_z=self.max_z, unclassified_total=self.unclassified_total)
+        """Plain fields for JSON; an infinite z (a certain branch missed) is None."""
+        d = dict(
+            asdict(self),
+            max_z=_finite_or_none(self.max_z),
+            unclassified_total=self.unclassified_total,
+        )
+        for p in d["points"]:
+            p["max_z"] = _finite_or_none(p["max_z"])
+        return d
+
+
+def _finite_or_none(x: float):
+    return x if math.isfinite(x) else None
 
 
 def validation_grid(alpha: float, n: int, margin: float = 1e-6) -> np.ndarray:

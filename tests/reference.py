@@ -3,7 +3,9 @@
 Nothing here reuses the code paths under test beyond the elementary branch
 probabilities and maps themselves: invariance integrals go through piecewise
 Gauss-Legendre quadrature, support structure comes from exact symbolic
-lattice enumeration, and the atom merge is the earlier two-sort rule.
+lattice enumeration, and the atom merge is the earlier two-sort rule.  The
+one exception is the Cesaro mixture, which is from_atoms on the whole
+concatenation at once, the rule the windowed merge must reproduce.
 """
 
 import math
@@ -11,7 +13,7 @@ import math
 import numpy as np
 
 from knudsen_billiard.core_map import MapParams, prob_all, tau_all
-from knudsen_billiard.measures import MERGE_TOL, in_interval
+from knudsen_billiard.measures import MERGE_TOL, AtomicMeasure, in_interval
 
 
 def sine_density(theta):
@@ -131,3 +133,10 @@ def merge_atoms_by_lexsort(thetas, weights) -> tuple[np.ndarray, np.ndarray]:
     by_weight = np.lexsort((w, gid))
     last = np.searchsorted(gid[by_weight], np.arange(gw.size), side="right") - 1
     return t[by_weight[last]], gw / gw.sum()
+
+
+def cesaro_by_concatenation(nus) -> AtomicMeasure:
+    """Uniform mixture by one from_atoms call on every atom of every measure."""
+    t = np.concatenate([m.thetas for m in nus])
+    w = np.concatenate([m.weights for m in nus]) / len(nus)
+    return AtomicMeasure.from_atoms(t, w)

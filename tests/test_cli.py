@@ -256,6 +256,18 @@ class TestOracleCommand:
             "97ff1bf9c792dccca6ac128405734d946f84a9cc13dba85c6ea9dd679d0b9980"
         )
 
+    @pytest.mark.parametrize("z", ["nan", "inf"])
+    def test_non_finite_z_limit_exits_2(self, z, capsys):
+        # JSON has no NaN or Infinity, so such a limit never reaches the report
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["oracle", "--alpha", "0.5", "--grid", "2", "--samples", "1000", "--z-limit", z]
+            )
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "finite" in out.err
+
     @pytest.mark.parametrize("flag", ["--grid", "--samples"])
     def test_empty_grid_or_zero_samples_exits_2(self, flag):
         res = run_cli("oracle", "--alpha", "0.5", flag, "0")

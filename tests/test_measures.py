@@ -1,11 +1,14 @@
 import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knudsen_billiard import measures
 from knudsen_billiard.core_map import MapParams, prob_all, tau_all
 from knudsen_billiard.measures import (
     AtomCapError,
@@ -170,6 +173,19 @@ class TestExactOutput:
         assert len(avg) == 26385
         assert _measure_digest(avg) == "f83885713dbefb02"
 
+    def test_uniform_start_cesaro_memory(self, uniform_run):
+        # the windowed merge never holds a copy of its input: the concatenating
+        # merge peaked at three times the input (65.7 MB for 21.3 MB)
+        nus = uniform_run[1:]
+        held = sum(m.thetas.nbytes + m.weights.nbytes for m in nus)
+        tracemalloc.start()
+        try:
+            cesaro(nus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < held / 2
+
     def test_point_start_final_measure_and_cesaro(self):
         nus = evolve(AtomicMeasure.point(0.2), 200, MapParams(ALPHA))
         assert _measure_digest(nus[-1]) == "e39fc7b5b3852e21"
@@ -210,6 +226,38 @@ def test_merge_matches_lexsort_reference(clusters, data):
     assert nu.weights.tobytes() == ref_w.tobytes()
 
 
+# positions on a 1e-3 grid plus offsets around MERGE_TOL, so measures share
+# exact positions and chain into each other; a 5e-324 weight, divided by the
+# number of measures, underflows to 0 and must not bridge a chain
+_OFFSETS = (0.0, 5e-13, 1e-12, 1.5e-12, 3e-12)
+_mixture_atom = st.tuples(
+    st.integers(0, 40),
+    st.integers(0, len(_OFFSETS) - 1),
+    st.sampled_from([5e-324, 0.125, 0.5, 1.0]),
+)
+
+
+@given(
+    sizes=st.lists(st.sampled_from([1, 2, 5, 40]), min_size=1, max_size=6),
+    budget=st.sampled_from([1, 2, 3, 5, 8, 1 << 18]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_cesaro_matches_concatenation(sizes, budget, data):
+    nus = []
+    for size in sizes:
+        atoms = data.draw(st.lists(_mixture_atom, min_size=size, max_size=size))
+        t = np.array([i * 1e-3 + _OFFSETS[o] for i, o, _ in atoms])
+        w = np.array([1.0] + [wt for *_, wt in atoms[1:]])
+        tiny = w < 1e-300  # kept as they are, so that they reach cesaro
+        nus.append(AtomicMeasure.from_atoms(t, np.where(tiny, w, w / w[~tiny].sum())))
+    with mock.patch.object(measures, "_CESARO_WINDOW", budget):
+        got = cesaro(nus)
+    want = reference.cesaro_by_concatenation(nus)
+    assert got.thetas.tobytes() == want.thetas.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
 class TestEvolve:
     def test_zero_steps_identity(self, params):
         nu = AtomicMeasure.point(0.3)
@@ -232,6 +280,34 @@ class TestCesaro:
         nu = AtomicMeasure.from_atoms([0.4, 2.0], [0.25, 0.75])
         avg = cesaro([nu, nu])
         assert np.abs(avg.weights - nu.weights).max() < 1e-15
+
+    def test_underflowed_weight_does_not_bridge(self):
+        # 1.0 and 1.0 + 1.5e-12 are apart; an atom between them whose weight
+        # is 0 once divided by the number of measures must not join them
+        nus = [
+            AtomicMeasure.from_atoms([1.0], [1.0]),
+            AtomicMeasure.from_atoms([1.0 + 7e-13, 2.0], [5e-324, 1.0]),
+            AtomicMeasure.from_atoms([1.0 + 1.5e-12], [1.0]),
+        ]
+        avg = cesaro(nus)
+        assert avg.thetas.tolist() == [1.0, 1.0 + 1.5e-12, 2.0]
+        assert avg.weights.tobytes() == reference.cesaro_by_concatenation(nus).weights.tobytes()
+
+    @pytest.mark.parametrize("budget", [16, 1 << 18])
+    def test_one_from_atoms_call_for_any_window_count(self, params, monkeypatch, budget):
+        # the benchmark counts one from_atoms call per mixture
+        nus = evolve(atomize_density(uniform_density, 45), 10, params)[1:]
+        calls = []
+        merge = AtomicMeasure.from_atoms.__func__
+
+        def counted(cls, thetas, weights):
+            calls.append(len(thetas))
+            return merge(cls, thetas, weights)
+
+        monkeypatch.setattr(AtomicMeasure, "from_atoms", classmethod(counted))
+        monkeypatch.setattr(measures, "_CESARO_WINDOW", budget)
+        avg = cesaro(nus)
+        assert calls == [len(avg)]
 
 
 class TestTvAtomic:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from knudsen_billiard.core_map import MapParams, prob_all, tau, tau_all
 from knudsen_billiard.oracle import (
     CellGeometry,
     CornerHitError,
+    GridPointResult,
     ReturnRecord,
     TracerStuckError,
+    ValidationReport,
     _kernel_counts,
     _reflect,
     _trace_batch,
@@ -283,6 +286,25 @@ class TestValidate:
         point = report.points[0]
         assert point.freqs[0] == 1.0
         assert point.max_z == 0.0
+
+    def test_infinite_z_written_as_null(self):
+        # a certain branch missed scores z = inf, which JSON cannot carry
+        def point(z):
+            return GridPointResult(
+                theta=0.2,
+                freqs=(0.5, 0.5, 0.0, 0.0),
+                probs=(1.0, 0.0, 0.0, 0.0),
+                max_abs_dev=0.5,
+                max_z=z,
+                unclassified=0,
+            )
+
+        report = ValidationReport(
+            alpha=ALPHA, samples=2, z_limit=4.0, points=(point(math.inf), point(1.5)), passed=False
+        )
+        doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert doc["max_z"] is None
+        assert [p["max_z"] for p in doc["points"]] == [None, 1.5]
 
 
 class TestLiouville:
